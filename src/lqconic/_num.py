@@ -1,8 +1,20 @@
-"""Small shared numerics: trapezoid quadrature and finite differences."""
+"""Small shared numerics: trapezoid quadrature, finite differences, and the
+fixed node blocks that node-axis work runs in."""
 
 from __future__ import annotations
 
 import numpy as np
+
+# Node-axis work (batched eigenvalues, solves, quadratures, coefficient
+# tables) runs in blocks of this many nodes, so its temporaries stay bounded
+# however long the grid is.
+NODE_BLOCK = 256
+
+
+def node_blocks(count: int):
+    """Slices covering range(count) in consecutive blocks of NODE_BLOCK."""
+    return [slice(s, min(s + NODE_BLOCK, count))
+            for s in range(0, count, NODE_BLOCK)]
 
 
 def trapz(values: np.ndarray, h: float):

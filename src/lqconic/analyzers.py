@@ -18,16 +18,16 @@ from typing import List, Optional
 
 import numpy as np
 
-from .covariance import (CovTrajectory, Gain, alignment_residual,
-                         closed_loop_simulate, deterministic_covariance,
-                         descriptor_residual, gain_from_dual,
-                         primal_objective, stochastic_covariance)
+from .covariance import (Gain, alignment_residual, closed_loop_simulate,
+                         deterministic_covariance, descriptor_residual,
+                         gain_from_dual, primal_objective,
+                         stochastic_covariance)
 from .dlmi import dual_objective, feasibility
 from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     ProblemSpec, StateSpace, StochLQR, TimeGrid,
-                    assemble_quadform, effective_cost, validate)
-from .riccati import (DreSolution, DriSample, MatTrajectory, _node_forcing_lookup,
-                      _residual_sweep, _RicFlow, _sweep, draw_forcing,
+                    assemble_quadform, coeff_on, effective_cost, validate)
+from .riccati import (DreSolution, DriSample, MatTrajectory,
+                      _node_forcing_lookup, _RicFlow, _sweep, draw_forcing,
                       forcing_amplitude, solve_dre_final, switch_bounds)
 
 __all__ = [
@@ -490,8 +490,8 @@ def verify_solution(spec: ProblemSpec, certificate: Certificate,
 
     lam2 = dre2.lam
     qf2 = assemble_quadform(spec2)
-    gain2 = Gain(grid2, np.stack([certificate.gain.at(t)
-                                  for t in grid2.times()]))
+    gain2 = Gain(grid2, coeff_on(certificate.gain.K, grid2.times(),
+                                 certificate.gain.grid))
     x_i, X_i, W = _payload(spec2)
     dual2 = (dual_objective(lam2, x_i=x_i) if x_i is not None
              else dual_objective(lam2, X_i=X_i, W=W))

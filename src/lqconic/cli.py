@@ -63,8 +63,13 @@ def _load_json(path: str):
         text = Path(path).read_text()
     except OSError as e:
         raise DocumentError(path, f"cannot read file: {e}") from e
+
+    def reject(literal):
+        raise DocumentError(path, f"non-finite number {literal} is not "
+                                  "valid problem data")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
         raise DocumentError(
             path, f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"

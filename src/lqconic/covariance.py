@@ -7,6 +7,11 @@ the stacked signal [x; u]; stochastic runs propagate the closed-loop
 state covariance and complete the blocks through the feedback law. A primal
 trajectory certifies optimality when it satisfies the descriptor dynamics
 and is aligned (trace-orthogonal) with the dual's residual matrix.
+
+Per-node work (gain solves, covariance assembly, quadratures, residuals,
+and the closed-loop coefficients at the RK4 stage times) is done with numpy
+over the node axis, in fixed blocks of NODE_BLOCK nodes so that peak memory
+stays bounded; only the RK4 recurrences themselves step node by node.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import fd_derivative, trapz
-from .dlmi import _assemble_raw, _dre_rhs
-from .model import (CostData, QuadForm, StateSpace, TimeGrid, apply_Aop,
-                    coeff_at)
-from .riccati import MatTrajectory
+from ._num import fd_derivative, node_blocks, trapz
+from .dlmi import _assemble_on
+from .model import (CostData, QuadForm, StateSpace, TimeGrid, coeff_at,
+                    coeff_on)
+from .riccati import MatTrajectory, _ric_rhs, _RicFlow, _row
 from .symmat import sym_factor
 
 __all__ = [
@@ -93,12 +98,29 @@ def gain_from_dual(lambda_bar: MatTrajectory, sys: StateSpace,
     if not np.isfinite(lambda_bar.values).all():
         raise ValueError("dual trajectory has invalid nodes; no gain exists")
     grid = lambda_bar.grid
+    times = grid.times()
     kvals = np.empty((grid.steps + 1, sys.m, sys.n))
-    for k, t in enumerate(grid.times()):
-        _, b = sys.ab_at(t, grid)
-        _, nmat, r = cost.at(t, grid)
-        kvals[k] = np.linalg.solve(r, nmat.T + b.T @ lambda_bar.node(k))
+    for block in node_blocks(times.size):
+        t = times[block]
+        b = coeff_on(sys.B, t, grid)
+        nmat, r = coeff_on(cost.N, t, grid), coeff_on(cost.R, t, grid)
+        lam = lambda_bar.values[block]
+        rhs = nmat.swapaxes(-1, -2) + b.swapaxes(-1, -2) @ lam
+        kvals[block] = np.linalg.solve(r, rhs)
     return Gain(grid, kvals)
+
+
+def _closed_loop_stages(sys: StateSpace, gain: Gain, grid: TimeGrid,
+                        t: np.ndarray, W=None):
+    """(A - B K, W) at the RK4 stage times t, t + h/2 and t + h of a block
+    of forward steps; W is None, one matrix, or one per step."""
+    h = grid.h
+    out = []
+    for s in (t, t + 0.5 * h, t + h):
+        a, b = coeff_on(sys.A, s, grid), coeff_on(sys.B, s, grid)
+        fcl = a - b @ coeff_on(gain.K, s, gain.grid)
+        out.append((fcl, None if W is None else coeff_on(W, s, grid)))
+    return out
 
 
 def closed_loop_simulate(sys: StateSpace, gain: Gain, x_i,
@@ -113,22 +135,18 @@ def closed_loop_simulate(sys: StateSpace, gain: Gain, x_i,
     x = np.empty((grid.steps + 1, sys.n))
     x[0] = x0
 
-    def f(t, xv):
-        a, b = sys.ab_at(t, grid)
-        return (a - b @ gain.at(t)) @ xv
+    for block in node_blocks(grid.steps):
+        (f1, _), (f2, _), (f4, _) = _closed_loop_stages(sys, gain, grid,
+                                                        times[block])
+        for j, k in enumerate(range(block.start, block.stop)):
+            y = x[k]
+            k1 = f1[j] @ y
+            k2 = f2[j] @ (y + 0.5 * h * k1)
+            k3 = f2[j] @ (y + 0.5 * h * k2)
+            k4 = f4[j] @ (y + h * k3)
+            x[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    for k in range(grid.steps):
-        t = times[k]
-        y = x[k]
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        x[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    u = np.empty((grid.steps + 1, gain.m))
-    for k in range(grid.steps + 1):
-        u[k] = -gain.node(k) @ x[k]
+    u = (-gain.K @ x[:, :, None])[:, :, 0]
     return x, u
 
 
@@ -164,32 +182,31 @@ def stochastic_covariance(sys: StateSpace, gain: Gain, W, X_i,
     h = grid.h
     times = grid.times()
 
-    def f(t, s):
-        a, b = sys.ab_at(t, grid)
-        fcl = a - b @ gain.at(t)
-        return fcl @ s + s @ fcl.T + coeff_at(w, t, grid)
+    def f(fcl, wk, s):
+        return fcl @ s + s @ fcl.T + wk
 
     sxx = np.empty((grid.steps + 1, n, n))
     sxx[0] = 0.5 * (xi + xi.T)
-    for k in range(grid.steps):
-        t = times[k]
-        y = sxx[k]
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        nxt = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sxx[k + 1] = 0.5 * (nxt + nxt.T)
+    for block in node_blocks(grid.steps):
+        stages = _closed_loop_stages(sys, gain, grid, times[block], w)
+        for j, k in enumerate(range(block.start, block.stop)):
+            (f1, w1), (f2, w2), (f4, w4) = [_row(st, j) for st in stages]
+            y = sxx[k]
+            k1 = f(f1, w1, y)
+            k2 = f(f2, w2, y + 0.5 * h * k1)
+            k3 = f(f2, w2, y + 0.5 * h * k2)
+            k4 = f(f4, w4, y + h * k3)
+            nxt = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            sxx[k + 1] = 0.5 * (nxt + nxt.T)
 
     values = np.empty((grid.steps + 1, n + m, n + m))
-    for k in range(grid.steps + 1):
-        kk = gain.node(k)
-        s = sxx[k]
-        cross = -s @ kk.T
-        values[k, :n, :n] = s
-        values[k, :n, n:] = cross
-        values[k, n:, :n] = cross.T
-        values[k, n:, n:] = kk @ s @ kk.T
+    for block in node_blocks(grid.steps + 1):
+        kk, s = gain.K[block], sxx[block]
+        cross = -s @ kk.swapaxes(-1, -2)
+        values[block, :n, :n] = s
+        values[block, :n, n:] = cross
+        values[block, n:, :n] = cross.swapaxes(-1, -2)
+        values[block, n:, n:] = kk @ s @ kk.swapaxes(-1, -2)
     return CovTrajectory(MatTrajectory(grid, values, meta="second-moment"),
                          kind="stochastic")
 
@@ -200,10 +217,11 @@ def primal_objective(sigma: CovTrajectory, quadform: QuadForm) -> float:
     traj = sigma.sigma
     if quadform.grid != traj.grid:
         raise ValueError("covariance and quadratic form use different grids")
-    vals = np.array([
-        float(np.sum(quadform.at(t) * traj.node(k)))
-        for k, t in enumerate(traj.grid.times())
-    ])
+    times = traj.grid.times()
+    vals = np.empty(times.size)
+    for block in node_blocks(times.size):
+        qm = coeff_on(quadform.Qmat, times[block], quadform.grid)
+        vals[block] = np.sum(qm * traj.values[block], axis=(1, 2))
     return trapz(vals, traj.grid.h)
 
 
@@ -225,12 +243,17 @@ def descriptor_residual(sigma: CovTrajectory, sys: StateSpace,
             w = w.reshape(1, 1)
     times = grid.times()
     worst = 0.0
-    for k in range(1, grid.steps):
-        t = times[k]
-        a, b = sys.ab_at(t, grid)
-        r = sdot[k][:n, :n] - apply_Aop(traj.node(k), a, b)
+    for block in node_blocks(grid.steps - 1):
+        ks = slice(block.start + 1, block.stop + 1)  # interior nodes only
+        t, sig = times[ks], traj.values[ks]
+        lead = sig.shape[:1]
+        a, b = coeff_on(sys.A, t, grid), coeff_on(sys.B, t, grid)
+        ab = np.concatenate([np.broadcast_to(a, lead + a.shape[-2:]),
+                             np.broadcast_to(b, lead + b.shape[-2:])], axis=-1)
+        g = (ab @ (0.5 * (sig + sig.swapaxes(-1, -2))))[..., :n]
+        r = sdot[ks, :n, :n] - (g + g.swapaxes(-1, -2))
         if w is not None:
-            r = r - coeff_at(w, t, grid)
+            r = r - coeff_on(w, t, grid)
         worst = max(worst, float(np.max(np.abs(r))))
     return worst
 
@@ -249,25 +272,21 @@ def alignment_residual(sigma: CovTrajectory, lambda_bar: MatTrajectory,
     grid = traj.grid
     if lambda_bar.grid != grid or quadform.grid != grid:
         raise ValueError("primal, dual, and cost grids must agree")
-    n = sys.n
     if lambda_dot_mode == "fd":
-        lam_dot = fd_derivative(lambda_bar.values, grid.h)
+        fd = fd_derivative(lambda_bar.values, grid.h)
     elif lambda_dot_mode == "dre":
-        lam_dot = None
+        flow = _RicFlow(sys, cost, grid)
     else:
         raise ValueError(f"unknown lambda_dot_mode {lambda_dot_mode!r}")
 
-    vals = np.empty(grid.steps + 1)
-    for k, t in enumerate(grid.times()):
-        a, b = sys.ab_at(t, grid)
-        lam = lambda_bar.node(k)
-        if lam_dot is None:
-            q, nmat, r = cost.at(t, grid)
-            ld = _dre_rhs(lam, a, b, q, nmat, np.linalg.inv(r))
-        else:
-            ld = lam_dot[k]
-        m = _assemble_raw(lam, ld, a, b, quadform.at(t))
-        vals[k] = float(np.sum(m * traj.node(k)))
+    times = grid.times()
+    vals = np.empty(times.size)
+    for block in node_blocks(times.size):
+        t, lam = times[block], lambda_bar.values[block]
+        ld = (fd[block] if lambda_dot_mode == "fd"
+              else _ric_rhs(flow.table(t), lam))
+        m = _assemble_on(lam, ld, sys, quadform, t)
+        vals[block] = np.sum(m * traj.values[block], axis=(1, 2))
     return trapz(vals, grid.h)
 
 

@@ -12,6 +12,10 @@ required final value. Along the backward Riccati extremal the inequality is
 tight: M factors exactly as U U^T with U of width m, the minimal possible
 rank. That factorization and its residual checks (classical Lur'e equations)
 live here, as does the dual objective read off a trajectory.
+
+Nodewise checks (M assembly, its eigenvalues and rank, the dual quadrature)
+are numpy operations over the node axis, run in fixed blocks of NODE_BLOCK
+nodes so that peak memory stays bounded however long the grid is.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from ._num import fd_derivative, trapz
-from .model import QuadForm, StateSpace, coeff_at
-from .riccati import MatTrajectory
-from .symmat import M22NotPDError, SymFactor, SymMat, eps_rank
+from ._num import fd_derivative, node_blocks, trapz
+from .model import CostData, QuadForm, StateSpace, coeff_at, coeff_on
+from .riccati import MatTrajectory, _ric_data, _ric_rhs, _RicFlow
+from .symmat import M22NotPDError, SymFactor, SymMat
 
 __all__ = [
     "DlmiCertificate",
@@ -69,13 +73,25 @@ def _blocks_from_quadform(qmat: np.ndarray, n: int):
 
 def _assemble_raw(lam: np.ndarray, lam_dot: np.ndarray, a: np.ndarray,
                   b: np.ndarray, qmat: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    out = np.array(qmat, dtype=float)
+    """M(Lam) from value and derivative samples: one node, or a stack of
+    nodes along a leading axis that the coefficients broadcast against."""
+    n = lam.shape[-1]
     shifted = lam @ b
-    out[:n, :n] += lam_dot + a.T @ lam + lam @ a
-    out[:n, n:] += shifted
-    out[n:, :n] += shifted.T
-    return 0.5 * (out + out.T)
+    out = np.array(np.broadcast_to(qmat, lam.shape[:-2] + qmat.shape[-2:]),
+                   dtype=float)
+    out[..., :n, :n] += lam_dot + a.swapaxes(-1, -2) @ lam + lam @ a
+    out[..., :n, n:] += shifted
+    out[..., n:, :n] += shifted.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
+
+
+def _assemble_on(lam: np.ndarray, lam_dot: np.ndarray, sys: StateSpace,
+                 quadform: QuadForm, times: np.ndarray) -> np.ndarray:
+    """M(Lam) at a block of nodes with the given times."""
+    g = quadform.grid
+    return _assemble_raw(lam, lam_dot, coeff_on(sys.A, times, g),
+                         coeff_on(sys.B, times, g),
+                         coeff_on(quadform.Qmat, times, g))
 
 
 def assemble_M(lam, lam_dot, sys: StateSpace, quadform: QuadForm,
@@ -99,14 +115,6 @@ def assemble_M(lam, lam_dot, sys: StateSpace, quadform: QuadForm,
     return SymMat(_assemble_raw(lam, lam_dot, a, b, quadform.at(t)))
 
 
-def _dre_rhs(lam: np.ndarray, a, b, q, nmat, rinv) -> np.ndarray:
-    """dLam/dt along the Riccati flow (the value that makes the top-left
-    block of M equal the rank-m quadratic term)."""
-    shifted = nmat + lam @ b
-    lin = a.T @ lam
-    return shifted @ rinv @ shifted.T - lin - lin.T - q
-
-
 def feasibility(lam: MatTrajectory, sys: StateSpace, quadform: QuadForm,
                 tol: float = 1e-9, lambda_final=None,
                 lambda_dot_mode: str = "fd",
@@ -128,31 +136,34 @@ def feasibility(lam: MatTrajectory, sys: StateSpace, quadform: QuadForm,
         raise ValueError("feasibility needs a complete (non-escaped) trajectory")
 
     if lambda_dot_mode == "fd":
-        lam_dot = fd_derivative(values, grid.h)
+        fd = fd_derivative(values, grid.h)
     elif lambda_dot_mode == "dre":
-        lam_dot = np.empty_like(values)
-        for k, t in enumerate(grid.times()):
-            a, b = sys.ab_at(t, grid)
-            qm = quadform.at(t)
-            q, nmat, r = _blocks_from_quadform(qm, n)
-            lam_dot[k] = _dre_rhs(values[k], a, b, q, nmat, np.linalg.inv(r))
+        # the Riccati right-hand side of the quadratic form's own blocks
+        qm = quadform.Qmat
+        flow = _RicFlow(sys, CostData(qm[..., :n, :n], qm[..., :n, n:],
+                                      qm[..., n:, n:]), grid)
     else:
         raise ValueError(f"unknown lambda_dot_mode {lambda_dot_mode!r}")
 
     times = grid.times()
     min_eig = np.empty(grid.steps + 1)
     rank_trace = np.empty(grid.steps + 1, dtype=int)
-    factors: Optional[List[SymFactor]] = [] if with_factors else None
-    for k, t in enumerate(times):
-        a, b = sys.ab_at(t, grid)
-        m = _assemble_raw(values[k], lam_dot[k], a, b, quadform.at(t))
+    for block in node_blocks(grid.steps + 1):
+        t, lam_k = times[block], values[block]
+        lam_dot = (fd[block] if lambda_dot_mode == "fd"
+                   else _ric_rhs(flow.table(t), lam_k))
+        m = _assemble_on(lam_k, lam_dot, sys, quadform, t)
         eigs = np.linalg.eigvalsh(m)
-        min_eig[k] = eigs[0]
-        cut = tol * max(1.0, float(np.abs(eigs).max()))
-        rank_trace[k] = int(np.count_nonzero(np.abs(eigs) > cut))
-        if factors is not None:
-            qm = quadform.at(t)
-            _, nmat, r = _blocks_from_quadform(qm, n)
+        min_eig[block] = eigs[:, 0]
+        cut = tol * np.maximum(1.0, np.abs(eigs).max(axis=1))
+        rank_trace[block] = np.count_nonzero(np.abs(eigs) > cut[:, None],
+                                             axis=1)
+    factors: Optional[List[SymFactor]] = None
+    if with_factors:
+        factors = []
+        for k, t in enumerate(times):
+            _, b = sys.ab_at(t, grid)
+            _, nmat, r = _blocks_from_quadform(quadform.at(t), n)
             factors.append(_factor_from_parts(values[k], b, nmat, r, nq))
 
     if lambda_final is None:
@@ -174,6 +185,16 @@ def feasibility(lam: MatTrajectory, sys: StateSpace, quadform: QuadForm,
         tol=tol,
         factor=factors,
     )
+
+
+def _coef_at(c, t: float, grid) -> np.ndarray:
+    """A constant or node-sampled coefficient at time t."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim <= 2:
+        return c
+    if grid is None:
+        raise ValueError("sampled coefficients need a grid to evaluate at t")
+    return coeff_at(c, t, grid)
 
 
 def _pd_sqrt_pair(r: np.ndarray, tol: float = 1e-12):
@@ -211,20 +232,12 @@ def extremal_factorization(lambda_bar, sys: StateSpace, cost, t: float,
     if lam.shape != (sys.n, sys.n):
         raise ValueError(f"value has shape {lam.shape}, expected ({sys.n}, {sys.n})")
 
-    def coef(c):
-        c = np.asarray(c, dtype=float)
-        if c.ndim <= 2:
-            return c
-        if grid is None:
-            raise ValueError("sampled coefficients need a grid to evaluate at t")
-        return coeff_at(c, t, grid)
-
-    a, b = coef(sys.A), coef(sys.B)
-    q, nmat, r = coef(cost.Q), coef(cost.N), coef(cost.R)
+    a, b, q, nmat, r = (_coef_at(c, t, grid) for c in (
+        sys.A, sys.B, cost.Q, cost.N, cost.R))
 
     if lambda_dot is not None:
         ld = np.asarray(lambda_dot, dtype=float).reshape(sys.n, sys.n)
-        rhs = _dre_rhs(lam, a, b, q, nmat, np.linalg.inv(r))
+        rhs = _ric_rhs(_ric_data(a, b, q, nmat, r), lam)
         err = float(np.max(np.abs(ld - rhs)))
         if err > tol * (1.0 + float(np.max(np.abs(rhs)))):
             raise ResidualTooLarge(
@@ -247,16 +260,8 @@ def lure_residuals(lam, lam_dot, U1, U2, sys: StateSpace, cost,
     u1 = np.atleast_2d(np.asarray(U1, dtype=float))
     u2 = np.atleast_2d(np.asarray(U2, dtype=float))
 
-    def coef(c):
-        c = np.asarray(c, dtype=float)
-        if c.ndim <= 2:
-            return c
-        if grid is None:
-            raise ValueError("sampled coefficients need a grid to evaluate at t")
-        return coeff_at(c, t, grid)
-
-    a, b = coef(sys.A), coef(sys.B)
-    q, nmat, r = coef(cost.Q), coef(cost.N), coef(cost.R)
+    a, b, q, nmat, r = (_coef_at(c, t, grid) for c in (
+        sys.A, sys.B, cost.Q, cost.N, cost.R))
     block11 = q + lam_dot + a.T @ lam + lam @ a
     r1 = float(np.max(np.abs(u1 @ u1.T - block11)))
     r2 = float(np.max(np.abs(u1 @ u2.T - (nmat + lam @ b))))
@@ -292,10 +297,11 @@ def dual_objective(lam: MatTrajectory, x_i=None, X_i=None, W=None) -> float:
             w = w.reshape(1, 1)
         if not np.isfinite(lam.values).all():
             raise ValueError("trajectory has invalid nodes; cannot integrate")
-        vals = np.array([
-            float(np.trace(lam.node(k) @ coeff_at(w, t, lam.grid)))
-            for k, t in enumerate(lam.grid.times())
-        ])
+        times = lam.grid.times()
+        vals = np.empty(times.size)
+        for block in node_blocks(times.size):
+            prod = lam.values[block] @ coeff_on(w, times[block], lam.grid)
+            vals[block] = np.trace(prod, axis1=1, axis2=2)
         total += trapz(vals, lam.grid.h)
     if x_i is None and X_i is None and W is None:
         raise ValueError("no payload given")

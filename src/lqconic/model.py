@@ -13,6 +13,7 @@ reproduces the stored sample exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "assemble_quadform",
     "effective_cost",
     "coeff_at",
+    "coeff_on",
     "apply_E",
     "apply_Aop",
     "apply_E_adj",
@@ -53,8 +55,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (self.T > 0):
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -104,6 +106,28 @@ def coeff_at(coeff: np.ndarray, t: float, grid: TimeGrid) -> np.ndarray:
     if w >= 1.0 - 1e-12:
         return coeff[k + 1]
     return (1.0 - w) * coeff[k] + w * coeff[k + 1]
+
+
+def coeff_on(coeff: np.ndarray, times, grid: TimeGrid) -> np.ndarray:
+    """Evaluate a coefficient at many times at once.
+
+    A sampled coefficient gives one matrix per time, stacked along a leading
+    axis, each bitwise equal to ``coeff_at`` at that time (same arithmetic,
+    same snapping to nodes). A constant coefficient is returned as is; it
+    broadcasts against the stacked samples of the others.
+    """
+    if coeff.ndim == 2:
+        return coeff
+    pos = np.asarray(times, dtype=float) * (coeff.shape[0] - 1) / grid.T
+    k = np.clip(np.floor(pos), 0, coeff.shape[0] - 2).astype(int)
+    w = pos - k
+    k = np.where(w >= 1.0 - 1e-12, k + 1, k)
+    mix = (w > 1e-12) & (w < 1.0 - 1e-12)
+    out = coeff[k]
+    if mix.any():
+        km, wm = k[mix], w[mix][:, None, None]
+        out[mix] = (1.0 - wm) * coeff[km] + wm * coeff[km + 1]
+    return out
 
 
 class StateSpace:
@@ -300,12 +324,33 @@ def _check_cost(cost: CostData, sys: StateSpace, grid, out, require_q_psd: bool)
         _check_psd(cost.Q, "cost.Q", out, strict=False)
 
 
+def _non_finite(spec: ProblemSpec) -> list:
+    """One NonFinite violation per coefficient or payload holding NaN or
+    infinity; such data has no verdict, so no other check runs on it."""
+    sys, var = spec.sys, spec.variant
+    fields = [("system.A", sys.A), ("system.B", sys.B),
+              ("system.C", sys.C), ("system.D", sys.D)]
+    cost = getattr(var, "cost", None)
+    if cost is not None:
+        fields += [("cost.Q", cost.Q), ("cost.N", cost.N), ("cost.R", cost.R)]
+    for name in ("x_i", "X_i", "W", "gamma"):
+        if hasattr(var, name):
+            fields.append((f"variant.{name}", getattr(var, name)))
+    return [Violation(name, "NonFinite", "contains NaN or infinite entries")
+            for name, value in fields
+            if not np.isfinite(np.asarray(value, dtype=float)).all()]
+
+
 def validate(spec: ProblemSpec) -> None:
     """Check dimensions and the variant-specific definiteness constraints.
 
     Raises ValidationError carrying per-field diagnostics; returns None when
-    the spec is well posed.
+    the spec is well posed. Non-finite data is rejected first, with code
+    NonFinite.
     """
+    non_finite = _non_finite(spec)
+    if non_finite:
+        raise ValidationError(non_finite)
     out = []
     sys, grid, var = spec.sys, spec.grid, spec.variant
     for name, coeff in (("system.A", sys.A), ("system.B", sys.B),

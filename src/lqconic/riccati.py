@@ -11,7 +11,15 @@ differential matrix inequality (and whose initial-value solution is the
 minimal one); H is a positive semidefinite forcing used to sample the
 inequality's other solutions. Solutions may escape in finite time: escape is
 an outcome, not an error, detected by a cap on the largest singular value
-and refined by bisecting the last step.
+and refined by bisecting the last step. The cap test is screened by the
+Frobenius norm, an upper bound on the largest singular value, so eigvalsh
+runs only on samples that may exceed the cap; the verdicts are those of
+eigvalsh on every sample.
+
+Node-sampled coefficients are tabulated at the RK4 stage times one block of
+NODE_BLOCK steps at a time, not interpolated and inverted at every stage;
+the finite-difference residual sweep evaluates the Riccati operator along
+the node axis in the same blocks, which bounds its temporaries.
 
 R may be positive or negative definite (it only needs to be invertible with
 fixed sign); the regulator-level validation is stricter.
@@ -24,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import fd_derivative
-from .model import CostData, StateSpace, TimeGrid, coeff_at
+from ._num import fd_derivative, node_blocks
+from .model import CostData, StateSpace, TimeGrid, coeff_at, coeff_on
 
 __all__ = [
     "MatTrajectory",
@@ -124,8 +132,34 @@ class DriSample:
     residual_max: float
 
 
+def _ric_data(A, B, Q, N, R):
+    """Riccati right-hand-side data (A^T, B, sym(Q), N, R^{-1}); each entry
+    is one matrix or a stack of them along a leading node axis."""
+    return (A.swapaxes(-1, -2).copy(), B, 0.5 * (Q + Q.swapaxes(-1, -2)), N,
+            np.linalg.inv(R))
+
+
+def _ric_rhs(data, lam: np.ndarray, forcing=None) -> np.ndarray:
+    """Riccati time derivative of a stack of solutions; the data broadcasts
+    against the stack (one set for all, or one per solution)."""
+    At, B, Q, N, Rinv = data
+    lin = np.matmul(At, lam)
+    shifted = N + np.matmul(lam, B)
+    quad = np.matmul(np.matmul(shifted, Rinv), shifted.swapaxes(-1, -2))
+    out = quad - lin - lin.swapaxes(-1, -2) - Q
+    if forcing is not None:
+        out = out + forcing
+    return out
+
+
+def _row(data, j: int):
+    """Data at the j-th time of a table; constant entries pass through."""
+    return [d[j] if d.ndim == 3 else d for d in data]
+
+
 class _RicFlow:
-    """Evaluates the Riccati right-hand side, batched over solutions."""
+    """Riccati right-hand-side data of a system and cost, tabulated on
+    demand at batches of times."""
 
     def __init__(self, sys: StateSpace, cost: CostData, grid: TimeGrid):
         self.sys = sys
@@ -134,49 +168,56 @@ class _RicFlow:
         self.const = sys.A.ndim == 2 and sys.B.ndim == 2 and \
             cost.Q.ndim == 2 and cost.N.ndim == 2 and cost.R.ndim == 2
         if self.const:
-            self._data = self._prep(sys.A, sys.B, cost.Q, cost.N, cost.R)
+            self._data = _ric_data(sys.A, sys.B, cost.Q, cost.N, cost.R)
 
-    @staticmethod
-    def _prep(A, B, Q, N, R):
-        return (A.T.copy(), B, 0.5 * (Q + Q.T), N, np.linalg.inv(R))
-
-    def data_at(self, t: float):
+    def table(self, times):
+        """Data at each of the given times, stacked along a leading axis
+        (constant coefficients stay single matrices)."""
         if self.const:
             return self._data
         g = self.grid
-        return self._prep(
-            coeff_at(self.sys.A, t, g), coeff_at(self.sys.B, t, g),
-            coeff_at(self.cost.Q, t, g), coeff_at(self.cost.N, t, g),
-            coeff_at(self.cost.R, t, g),
-        )
+        return _ric_data(*(coeff_on(c, times, g) for c in (
+            self.sys.A, self.sys.B, self.cost.Q, self.cost.N, self.cost.R)))
 
-    def dlam_dt(self, t: float, lam: np.ndarray, forcing=None) -> np.ndarray:
-        """Time derivative of a (S, n, n) batch of solutions."""
-        At, B, Q, N, Rinv = self.data_at(t)
-        lin = np.matmul(At, lam)
-        shifted = N + np.matmul(lam, B)
-        quad = np.matmul(np.matmul(shifted, Rinv), shifted.transpose(0, 2, 1))
-        out = quad - lin - lin.transpose(0, 2, 1) - Q
-        if forcing is not None:
-            out = out + forcing
-        return out
+    def stage_tables(self, t, dt: float):
+        """Tables at the RK4 stage times t, t + dt/2 and t + dt."""
+        if self.const:
+            return (self._data,) * 3
+        return tuple(self.table(s) for s in (t, t + 0.5 * dt, t + dt))
 
 
-def _rk4_step(flow: _RicFlow, t: float, y: np.ndarray, dt: float, forcing):
-    k1 = flow.dlam_dt(t, y, forcing)
-    k2 = flow.dlam_dt(t + 0.5 * dt, y + (0.5 * dt) * k1, forcing)
-    k3 = flow.dlam_dt(t + 0.5 * dt, y + (0.5 * dt) * k2, forcing)
-    k4 = flow.dlam_dt(t + dt, y + dt * k3, forcing)
+def _rk4_step(stages, y: np.ndarray, dt: float, forcing):
+    d1, d2, d4 = stages
+    k1 = _ric_rhs(d1, y, forcing)
+    k2 = _ric_rhs(d2, y + (0.5 * dt) * k1, forcing)
+    k3 = _ric_rhs(d2, y + (0.5 * dt) * k2, forcing)
+    k4 = _ric_rhs(d4, y + dt * k3, forcing)
     out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def _batch_sigma_max(y: np.ndarray) -> np.ndarray:
-    s = y.shape[0]
-    norms = np.full(s, np.inf)
-    finite = np.isfinite(y).all(axis=(1, 2))
-    if finite.any():
-        norms[finite] = np.abs(np.linalg.eigvalsh(y[finite])).max(axis=1)
+# Relative slack of the Frobenius pre-screen: far above the rounding of
+# either norm, so a sample the screen clears is below the cap by eigvalsh too.
+_SCREEN_SLACK = 1e-9
+
+
+def _batch_sigma_max(y: np.ndarray, cap: float) -> np.ndarray:
+    """Per-sample norm for the escape test ``norm > cap``.
+
+    The Frobenius norm bounds the largest singular value from above, so
+    eigvalsh runs only on samples whose Frobenius norm reaches the cap; the
+    others report their Frobenius norm, which is below it. The verdict is
+    the eigvalsh verdict on every sample. Non-finite samples report inf.
+    """
+    norms = np.sqrt(np.einsum("sij,sij->s", y, y))
+    check = ~(norms <= cap * (1.0 - _SCREEN_SLACK))  # NaN included
+    if check.any():
+        sub = y[check]
+        finite = np.isfinite(sub).all(axis=(1, 2))
+        sigma = np.full(sub.shape[0], np.inf)
+        if finite.any():
+            sigma[finite] = np.abs(np.linalg.eigvalsh(sub[finite])).max(axis=1)
+        norms[check] = sigma
     return norms
 
 
@@ -187,9 +228,12 @@ def _refine_escape(flow, t_good, y_good, h, sign, cap, forcing) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
+        dt = sign * mid
+        tables = flow.stage_tables(np.array([t_good]), dt)
+        stages = tables if flow.const else [_row(tab, 0) for tab in tables]
         with np.errstate(over="ignore", invalid="ignore"):
-            trial = _rk4_step(flow, t_good, y_good, sign * mid, forcing)
-        if _batch_sigma_max(trial)[0] > cap:
+            trial = _rk4_step(stages, y_good, dt, forcing)
+        if _batch_sigma_max(trial, cap)[0] > cap:
             hi = mid
         else:
             lo = mid
@@ -202,7 +246,8 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, direction: str,
 
     forcings: None, or per-step forcing lookup ``forcings(step_index)``
     returning a (S, n, n) array for the step between nodes step_index and
-    step_index+1.
+    step_index+1. Sampled coefficients are tabulated at the RK4 stage times
+    one block of steps at a time.
 
     Returns (values (S, K+1, n, n) with NaN beyond escape, escaped (S,),
     escape_time (S,)).
@@ -216,37 +261,42 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, direction: str,
     escape_time = np.full(s, np.nan)
 
     if direction == "final":
-        start_node, step_order, sign = k_steps, range(k_steps, 0, -1), -1.0
+        start_node, step_order, sign = k_steps, np.arange(k_steps, 0, -1), -1.0
     elif direction == "initial":
-        start_node, step_order, sign = 0, range(0, k_steps), 1.0
+        start_node, step_order, sign = 0, np.arange(0, k_steps), 1.0
     else:
         raise ValueError(f"direction must be 'final' or 'initial', got {direction!r}")
+    dt = sign * h
 
     y = 0.5 * (lam0 + lam0.transpose(0, 2, 1))
     values[:, start_node] = y
     active = np.ones(s, dtype=bool)
 
-    for k in step_order:
-        t = times[k]
-        target = k - 1 if direction == "final" else k + 1
-        step_idx = k - 1 if direction == "final" else k
-        forcing = forcings(step_idx) if forcings is not None else None
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_new = _rk4_step(flow, t, y, sign * h, forcing)
-        norms = _batch_sigma_max(y_new)
-        blew = active & (norms > cap)
-        if blew.any():
-            for i in np.nonzero(blew)[0]:
-                fi = forcing[i:i + 1] if forcing is not None else None
-                escape_time[i] = _refine_escape(
-                    flow, t, y[i:i + 1], h, sign, cap, fi)
-            escaped |= blew
-            active &= ~blew
-            if not active.any():
-                break
-        ok = active
-        values[ok, target] = y_new[ok]
-        y = np.where(active[:, None, None], y_new, y)
+    for block in node_blocks(k_steps):
+        ks = step_order[block]
+        tables = flow.stage_tables(times[ks], dt)
+        for j, k in enumerate(ks.tolist()):
+            t = times[k]
+            target = k - 1 if direction == "final" else k + 1
+            step_idx = k - 1 if direction == "final" else k
+            forcing = forcings(step_idx) if forcings is not None else None
+            stages = tables if flow.const else [_row(tab, j) for tab in tables]
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_new = _rk4_step(stages, y, dt, forcing)
+            norms = _batch_sigma_max(y_new, cap)
+            blew = active & (norms > cap)
+            if blew.any():
+                for i in np.nonzero(blew)[0]:
+                    fi = forcing[i:i + 1] if forcing is not None else None
+                    escape_time[i] = _refine_escape(
+                        flow, t, y[i:i + 1], h, sign, cap, fi)
+                escaped |= blew
+                active &= ~blew
+                if not active.any():
+                    return values, escaped, escape_time
+            ok = active
+            values[ok, target] = y_new[ok]
+            y = np.where(active[:, None, None], y_new, y)
 
     return values, escaped, escape_time
 
@@ -291,14 +341,16 @@ def switch_bounds(steps: int, switch_points: int) -> np.ndarray:
     return bounds
 
 
-def _stencil_steps(j: int, idx: np.ndarray) -> tuple:
-    """Step indices touched by the finite-difference stencil at segment
-    position j (segment nodes idx are contiguous)."""
-    if j == 0:
-        return (idx[0], idx[0] + 1)
-    if j == idx.size - 1:
-        return (idx[-1] - 2, idx[-1] - 1)
-    return (idx[j] - 1, idx[j])
+def _operator_blocks(flow: _RicFlow, grid: TimeGrid, idx: np.ndarray,
+                     seg: np.ndarray):
+    """Riccati operator dLam/dt - rhs(Lam) on the contiguous valid segment
+    ``seg`` at nodes ``idx``, with dLam/dt by finite differences; yields
+    (block slice, residual block) pairs over node blocks."""
+    ldot = fd_derivative(seg, grid.h)
+    times = grid.times()[idx]
+    for block in node_blocks(idx.size):
+        rhs = _ric_rhs(flow.table(times[block]), seg[block])
+        yield block, ldot[block] - rhs
 
 
 def _residual_sweep(lam_values: np.ndarray, flow: _RicFlow, grid: TimeGrid,
@@ -311,26 +363,22 @@ def _residual_sweep(lam_values: np.ndarray, flow: _RicFlow, grid: TimeGrid,
     idx = np.nonzero(valid)[0]
     if idx.size < 3:
         return float("nan")
-    seg = lam_values[idx]
-    ldot = fd_derivative(seg, grid.h)
-    times = grid.times()[idx]
+    keep = np.ones(idx.size, dtype=bool)
+    if step_interval is not None:
+        # steps spanned by each node's stencil: centered inside, one-sided
+        # (two steps inward) at the segment ends
+        s0, s1 = idx - 1, idx.copy()
+        s0[0], s1[0] = idx[0], idx[0] + 1
+        s0[-1], s1[-1] = idx[-1] - 2, idx[-1] - 1
+        keep = step_interval[s0] == step_interval[s1]
     worst = 0.0
-    for j, t in enumerate(times):
-        if step_interval is not None:
-            s0, s1 = _stencil_steps(j, idx)
-            if step_interval[s0] != step_interval[s1]:
-                continue
-        r = _riccati_operator(flow, t, seg[j], ldot[j])
+    for block, r in _operator_blocks(flow, grid, idx, lam_values[idx]):
         if forcing_nodes is not None:
-            r = r - forcing_nodes[idx[j]]
-        worst = max(worst, float(np.max(np.abs(r))))
+            r = r - forcing_nodes[idx[block]]
+        r = r[keep[block]]
+        if r.size:
+            worst = max(worst, float(np.max(np.abs(r))))
     return worst
-
-
-def _riccati_operator(flow: _RicFlow, t: float, lam: np.ndarray,
-                      lam_dot: np.ndarray) -> np.ndarray:
-    # lam_dot + A^T lam + lam A - (N + lam B) R^{-1} (N + lam B)^T + Q
-    return lam_dot - flow.dlam_dt(t, lam[None])[0]
 
 
 def _solve_dre(sys, cost, lam_bc, grid, direction, escape_cap, meta):
@@ -544,13 +592,10 @@ def riccati_residual(lam: MatTrajectory, sys: StateSpace,
     time derivative taken by centered finite differences (one-sided at the
     endpoints) so the check is independent of any integrator."""
     flow = _RicFlow(sys, cost, lam.grid)
-    valid = lam.valid_mask()
     out = np.full_like(lam.values, np.nan)
-    idx = np.nonzero(valid)[0]
+    idx = np.nonzero(lam.valid_mask())[0]
     if idx.size >= 3:
-        seg = lam.values[idx]
-        ldot = fd_derivative(seg, lam.grid.h)
-        times = lam.grid.times()[idx]
-        for j, t in enumerate(times):
-            out[idx[j]] = _riccati_operator(flow, t, seg[j], ldot[j])
+        for block, r in _operator_blocks(flow, lam.grid, idx,
+                                         lam.values[idx]):
+            out[idx[block]] = r
     return MatTrajectory(lam.grid, out, meta="riccati-residual")

@@ -1,0 +1,402 @@
+"""Node-batched certificate stages against their per-node loops.
+
+The certificate stages (DLMI feasibility, gain, quadratures, residual
+sweeps, forward propagations) evaluate along the node axis in blocks of
+NODE_BLOCK nodes, with coefficients tabulated by coeff_on. The loops below
+are the reference: one node at a time, every coefficient read by coeff_at.
+Grids have 2 * NODE_BLOCK + 3 steps, so a partial tail block is covered,
+and the coefficients are constant, node-sampled, or sampled on a grid and
+evaluated on its 2x refinement (as verify_solution does).
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lqconic._num import NODE_BLOCK, fd_derivative, trapz
+from lqconic.covariance import (alignment_residual,
+                                closed_loop_simulate,
+                                deterministic_covariance, descriptor_residual,
+                                gain_from_dual, primal_objective,
+                                stochastic_covariance)
+from lqconic.dlmi import dual_objective, feasibility
+from lqconic.model import (CostData, ProblemSpec, StateSpace, StochLQR,
+                           TimeGrid, apply_Aop, assemble_quadform, coeff_at,
+                           coeff_on)
+from lqconic.riccati import (_node_forcing_lookup,
+                             _residual_sweep, _RicFlow, _sweep, draw_forcing,
+                             riccati_residual, solve_dre_final, switch_bounds)
+
+STEPS = 2 * NODE_BLOCK + 3
+RTOL = 1e-12
+KINDS = ("constant", "sampled", "coarse-on-2x")
+
+
+def assert_close(got, want):
+    """Agreement to RTOL relative, floored at an absolute RTOL."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    err = np.abs(got - want)
+    assert np.all(err <= RTOL * np.maximum(1.0, np.abs(want))), float(err.max())
+
+
+# ---------------------------------------------------------------------------
+# per-node reference loops
+
+def ref_rhs(lam, a, b, q, nmat, r):
+    shifted = nmat + lam @ b
+    lin = a.T @ lam
+    return shifted @ np.linalg.inv(r) @ shifted.T - lin - lin.T - q
+
+
+def ref_m(lam, lam_dot, a, b, qmat):
+    n = a.shape[0]
+    out = np.array(qmat, dtype=float)
+    shifted = lam @ b
+    out[:n, :n] += lam_dot + a.T @ lam + lam @ a
+    out[:n, n:] += shifted
+    out[n:, :n] += shifted.T
+    return 0.5 * (out + out.T)
+
+
+def ref_feasibility(lam, sys, qf, tol, mode):
+    grid, n = lam.grid, sys.n
+    fd = fd_derivative(lam.values, grid.h)
+    min_eig, rank = [], []
+    for k, t in enumerate(grid.times()):
+        a, b = sys.ab_at(t, grid)
+        qm = qf.at(t)
+        ld = fd[k] if mode == "fd" else ref_rhs(
+            lam.values[k], a, b, qm[:n, :n], qm[:n, n:], qm[n:, n:])
+        eigs = np.linalg.eigvalsh(ref_m(lam.values[k], ld, a, b, qm))
+        min_eig.append(eigs[0])
+        cut = tol * max(1.0, float(np.abs(eigs).max()))
+        rank.append(int(np.count_nonzero(np.abs(eigs) > cut)))
+    return np.array(min_eig), np.array(rank)
+
+
+def ref_gain(lam, sys, cost):
+    grid = lam.grid
+    out = []
+    for k, t in enumerate(grid.times()):
+        _, b = sys.ab_at(t, grid)
+        _, nmat, r = cost.at(t, grid)
+        out.append(np.linalg.solve(r, nmat.T + b.T @ lam.values[k]))
+    return np.stack(out)
+
+
+def ref_rk4(f, y0, grid, sym=False):
+    h = grid.h
+    out = [y0]
+    for t in grid.times()[:-1]:
+        y = out[-1]
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        nxt = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(0.5 * (nxt + nxt.T) if sym else nxt)
+    return np.stack(out)
+
+
+def ref_closed_loop(sys, gain, x0, grid):
+    def f(t, x):
+        a, b = sys.ab_at(t, grid)
+        return (a - b @ gain.at(t)) @ x
+
+    x = ref_rk4(f, x0, grid)
+    return x, np.stack([-gain.node(k) @ x[k] for k in range(len(x))])
+
+
+def ref_stochastic(sys, gain, W, X_i, grid):
+    def f(t, s):
+        a, b = sys.ab_at(t, grid)
+        fcl = a - b @ gain.at(t)
+        return fcl @ s + s @ fcl.T + coeff_at(W, t, grid)
+
+    sxx = ref_rk4(f, 0.5 * (X_i + X_i.T), grid, sym=True)
+    blocks = []
+    for k, s in enumerate(sxx):
+        kk = gain.node(k)
+        cross = -s @ kk.T
+        blocks.append(np.block([[s, cross], [cross.T, kk @ s @ kk.T]]))
+    return np.stack(blocks)
+
+
+def ref_primal(sig, qf):
+    grid = sig.grid
+    return trapz(np.array([np.sum(qf.at(t) * sig.values[k])
+                           for k, t in enumerate(grid.times())]), grid.h)
+
+
+def ref_descriptor(sig, sys, W=None):
+    grid, n = sig.grid, sys.n
+    sdot = fd_derivative(sig.values, grid.h)
+    times = grid.times()
+    worst = 0.0
+    for k in range(1, grid.steps):
+        a, b = sys.ab_at(times[k], grid)
+        r = sdot[k][:n, :n] - apply_Aop(sig.values[k], a, b)
+        if W is not None:
+            r = r - coeff_at(W, times[k], grid)
+        worst = max(worst, float(np.max(np.abs(r))))
+    return worst
+
+
+def ref_alignment(sig, lam, sys, cost, qf, mode):
+    grid = lam.grid
+    fd = fd_derivative(lam.values, grid.h)
+    vals = []
+    for k, t in enumerate(grid.times()):
+        a, b = sys.ab_at(t, grid)
+        ld = fd[k] if mode == "fd" else ref_rhs(lam.values[k], a, b,
+                                                *cost.at(t, grid))
+        vals.append(np.sum(ref_m(lam.values[k], ld, a, b, qf.at(t))
+                           * sig.values[k]))
+    return trapz(np.array(vals), grid.h)
+
+
+def ref_dual_w(lam, W):
+    grid = lam.grid
+    return trapz(np.array([np.trace(lam.values[k] @ coeff_at(W, t, grid))
+                           for k, t in enumerate(grid.times())]), grid.h)
+
+
+def ref_sweep(sys, cost, grid, direction):
+    """Riccati RK4 from a zero boundary value, coefficients read by coeff_at
+    at every stage."""
+    def f(t, lam):
+        a, b = sys.ab_at(t, grid)
+        q, nmat, r = cost.at(t, grid)
+        return ref_rhs(lam, a, b, 0.5 * (q + q.T), nmat, r)
+
+    h = grid.h
+    times = grid.times()
+    sign = -1.0 if direction == "final" else 1.0
+    order = range(grid.steps, 0, -1) if sign < 0 else range(grid.steps)
+    out = np.empty((grid.steps + 1, sys.n, sys.n))
+    out[order[0]] = 0.0
+    for k in order:
+        t, y, dt = times[k], out[k], sign * h
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
+        k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
+        k4 = f(t + dt, y + dt * k3)
+        nxt = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + int(sign)] = 0.5 * (nxt + nxt.T)
+    return out
+
+
+def ref_operator(values, sys, cost, grid):
+    """Per-node Riccati operator over the valid segment, NaN elsewhere."""
+    out = np.full_like(values, np.nan)
+    idx = np.nonzero(np.isfinite(values).all(axis=(1, 2)))[0]
+    ldot = fd_derivative(values[idx], grid.h)
+    times = grid.times()
+    for j, k in enumerate(idx):
+        a, b = sys.ab_at(times[k], grid)
+        q, nmat, r = cost.at(times[k], grid)
+        out[k] = ldot[j] - ref_rhs(values[k], a, b, 0.5 * (q + q.T), nmat, r)
+    return out, idx
+
+
+def ref_residual_max(values, sys, cost, grid, forcing_nodes=None,
+                     step_interval=None):
+    out, idx = ref_operator(values, sys, cost, grid)
+    worst = 0.0
+    for j, k in enumerate(idx):
+        if step_interval is not None:
+            if j == 0:
+                s0, s1 = idx[0], idx[0] + 1
+            elif j == idx.size - 1:
+                s0, s1 = idx[-1] - 2, idx[-1] - 1
+            else:
+                s0, s1 = idx[j] - 1, idx[j]
+            if step_interval[s0] != step_interval[s1]:
+                continue
+        r = out[k] if forcing_nodes is None else out[k] - forcing_nodes[k]
+        worst = max(worst, float(np.max(np.abs(r))))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# problems
+
+class Problem:
+    def __init__(self, kind):
+        rng = np.random.default_rng(20)
+        n, m = 3, 2
+        s = np.linspace(0.0, 1.0, STEPS + 1)[:, None, None]
+        wave = 1.0 + 0.3 * np.sin(7.0 * s)
+
+        def coeff(base):
+            return base if kind == "constant" else base * wave
+
+        g = rng.uniform(-1.0, 1.0, (n, n))
+        p = rng.uniform(-1.0, 1.0, (m, m))
+        a0 = rng.uniform(-1.0, 1.0, (n, n))
+        self.sys = StateSpace(
+            A=coeff(a0),
+            B=coeff(rng.uniform(-1.0, 1.0, (n, m))))
+        self.cost = CostData(Q=coeff(g @ g.T + 0.1 * np.eye(n)),
+                             N=coeff(0.1 * rng.uniform(-1.0, 1.0, (n, m))),
+                             R=coeff(p @ p.T + 0.5 * np.eye(m)))
+        h = rng.uniform(-1.0, 1.0, (n, n))
+        self.W = coeff(0.5 * h @ h.T)
+        x = rng.uniform(-1.0, 1.0, (n, n))
+        self.X_i = x @ x.T
+        self.x_i = rng.uniform(0.5, 2.0, n)
+        self.grid = TimeGrid(T=1.0, steps=STEPS)
+        if kind == "coarse-on-2x":
+            self.grid = self.grid.refined(2)
+        spec = ProblemSpec(sys=self.sys, grid=self.grid,
+                           variant=StochLQR(cost=self.cost, X_i=self.X_i,
+                                            W=self.W))
+        self.qf = assemble_quadform(spec)
+        dre = solve_dre_final(self.sys, self.cost, np.zeros((n, n)), self.grid)
+        assert not dre.escaped
+        self.lam = dre.lam
+        self.gain = gain_from_dual(self.lam, self.sys, self.cost)
+        x, u = closed_loop_simulate(self.sys, self.gain, self.x_i, self.grid)
+        self.x, self.u = x, u
+        self.det = deterministic_covariance(x, u, self.grid)
+        self.stoch = stochastic_covariance(self.sys, self.gain, self.W,
+                                           self.X_i, self.grid)
+
+
+@pytest.fixture(scope="module", params=KINDS)
+def prob(request):
+    return Problem(request.param)
+
+
+class TestStagesMatchLoops:
+    @pytest.mark.parametrize("direction", ["final", "initial"])
+    def test_sweep_with_tabulated_coefficients(self, prob, direction):
+        n = prob.sys.n
+        values, escaped, _ = _sweep(_RicFlow(prob.sys, prob.cost, prob.grid),
+                                    np.zeros((1, n, n)), prob.grid,
+                                    direction, 1e9)
+        assert not escaped[0]
+        assert_close(values[0], ref_sweep(prob.sys, prob.cost, prob.grid,
+                                          direction))
+
+    @pytest.mark.parametrize("mode", ["dre", "fd"])
+    def test_feasibility(self, prob, mode):
+        cert = feasibility(prob.lam, prob.sys, prob.qf, tol=1e-9,
+                           lambda_dot_mode=mode)
+        min_eig, rank = ref_feasibility(prob.lam, prob.sys, prob.qf, 1e-9,
+                                        mode)
+        assert_close(cert.min_eig, min_eig)
+        np.testing.assert_array_equal(cert.rank_trace, rank)
+
+    def test_gain(self, prob):
+        assert_close(prob.gain.K, ref_gain(prob.lam, prob.sys, prob.cost))
+
+    def test_closed_loop(self, prob):
+        x, u = ref_closed_loop(prob.sys, prob.gain, prob.x_i, prob.grid)
+        assert_close(prob.x, x)
+        assert_close(prob.u, u)
+
+    def test_stochastic_covariance(self, prob):
+        assert_close(prob.stoch.sigma.values,
+                     ref_stochastic(prob.sys, prob.gain, prob.W, prob.X_i,
+                                    prob.grid))
+
+    @pytest.mark.parametrize("side", ["det", "stoch"])
+    def test_primal_and_descriptor(self, prob, side):
+        sig = getattr(prob, side)
+        w = prob.W if side == "stoch" else None
+        assert_close(primal_objective(sig, prob.qf),
+                     ref_primal(sig.sigma, prob.qf))
+        assert_close(descriptor_residual(sig, prob.sys, W=w),
+                     ref_descriptor(sig.sigma, prob.sys, w))
+
+    @pytest.mark.parametrize("mode", ["dre", "fd"])
+    def test_alignment(self, prob, mode):
+        got = alignment_residual(prob.stoch, prob.lam, prob.sys, prob.cost,
+                                 prob.qf, lambda_dot_mode=mode)
+        assert_close(got, ref_alignment(prob.stoch.sigma, prob.lam, prob.sys,
+                                        prob.cost, prob.qf, mode))
+
+    def test_dual_w_integral(self, prob):
+        got = dual_objective(prob.lam, X_i=np.zeros_like(prob.X_i), W=prob.W)
+        assert_close(got, ref_dual_w(prob.lam, prob.W))
+
+    def test_residual_sweep_and_riccati_residual(self, prob):
+        flow = _RicFlow(prob.sys, prob.cost, prob.grid)
+        values = prob.lam.values
+        assert_close(_residual_sweep(values, flow, prob.grid),
+                     ref_residual_max(values, prob.sys, prob.cost, prob.grid))
+        got = riccati_residual(prob.lam, prob.sys, prob.cost).values
+        assert_close(got, ref_operator(values, prob.sys, prob.cost,
+                                       prob.grid)[0])
+
+    def test_forced_residual_sweep(self, prob):
+        # a forced sweep, as sample_dri_solution runs it: the stored forcing
+        # is subtracted and stencils straddling a switch are skipped
+        n = prob.sys.n
+        hvals = draw_forcing(n, 7, 3, 1.0)[None]
+        lookup, step_interval = _node_forcing_lookup(
+            hvals, switch_bounds(prob.grid.steps, 7))
+        flow = _RicFlow(prob.sys, prob.cost, prob.grid)
+        values, escaped, _ = _sweep(flow, np.zeros((1, n, n)), prob.grid,
+                                    "final", 1e9, forcings=lookup)
+        assert not escaped[0]
+        forcing_nodes = hvals[0][np.append(step_interval, step_interval[-1])]
+        got = _residual_sweep(values[0], flow, prob.grid,
+                              forcing_nodes=forcing_nodes,
+                              step_interval=step_interval)
+        assert_close(got, ref_residual_max(values[0], prob.sys, prob.cost,
+                                           prob.grid, forcing_nodes,
+                                           step_interval))
+
+    def test_gain_resampled_on_refined_grid(self, prob):
+        fine = prob.grid.refined(2)
+        got = coeff_on(prob.gain.K, fine.times(), prob.grid)
+        want = np.stack([prob.gain.at(t) for t in fine.times()])
+        np.testing.assert_array_equal(got, want)
+
+
+def test_residual_sweep_on_escaped_trajectory():
+    # only the valid segment before the escape is swept
+    sys = StateSpace(A=[[0.0]], B=[[1.0]])
+    cost = CostData(Q=[[-1.0]], N=None, R=[[1.0]])
+    grid = TimeGrid(T=2.0, steps=STEPS)
+    dre = solve_dre_final(sys, cost, np.zeros((1, 1)), grid)
+    assert dre.escaped
+    flow = _RicFlow(sys, cost, grid)
+    assert_close(_residual_sweep(dre.lam.values, flow, grid),
+                 ref_residual_max(dre.lam.values, sys, cost, grid))
+    got = riccati_residual(dre.lam, sys, cost).values
+    want = ref_operator(dre.lam.values, sys, cost, grid)[0]
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    valid = ~np.isnan(want)
+    assert_close(got[valid], want[valid])
+
+
+class TestCoeffOn:
+    def test_constant_passes_through(self):
+        c = np.array([[2.0, 1.0]])
+        assert coeff_on(c, np.linspace(0.0, 1.0, 7), TimeGrid(1.0, 4)) is c
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples=st.integers(2, 40), steps=st.integers(1, 80),
+           T=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 16))
+    def test_bitwise_equal_to_coeff_at(self, samples, steps, T, seed):
+        coeff = np.random.default_rng(seed).standard_normal((samples, 2, 3))
+        grid = TimeGrid(T=T, steps=steps)
+        t, h = grid.times(), grid.h
+        # nodes, midpoints, the RK4 stage times of forward and backward
+        # steps (t + dt/2 and t + dt with dt = +h or -h), and times on
+        # either side of the 1e-12 snapping band around the sample nodes
+        nodes = np.linspace(0.0, T, samples)
+        gap = T / (samples - 1)
+        times = np.concatenate([t, t[:-1] + 0.5 * h, t + 0.5 * h, t + h,
+                                t + 0.5 * -h, t + -h]
+                               + [nodes + d * gap for d in
+                                  (-1e-11, -1e-13, 1e-13, 1e-11)])
+        got = coeff_on(coeff, times, grid)
+        for i, ti in enumerate(times):
+            want = coeff_at(coeff, ti, grid)
+            assert got[i].tobytes() == want.tobytes(), (ti, i)
+

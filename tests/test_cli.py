@@ -184,6 +184,23 @@ class TestExitCodes:
         assert "line 2" in err
         assert "column" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where", ["A", "T"])
+    def test_non_finite_literal_is_input_error(self, tmp_path, capsys,
+                                               literal, where):
+        # Python's json reads these literals; they must never reach a
+        # verdict (exit 2 would claim the infimum is minus infinity)
+        doc = json.dumps(iqc_doc())
+        if where == "A":
+            doc = doc.replace('"A": [[0.0]]', f'"A": [[{literal}]]')
+        else:
+            doc = doc.replace('"T": 2.0', f'"T": {literal}')
+        path = tmp_path / "nonfinite.json"
+        path.write_text(doc)
+        rc, out, err = run(capsys, ["iqc", str(path)])
+        assert rc == 1
+        assert literal in err and out == ""
+
     def test_variant_subcommand_mismatch(self, tmp_path, capsys):
         rc, _, err = run(capsys, ["lqr", write_doc(tmp_path, br_doc())])
         assert rc == 1

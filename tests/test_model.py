@@ -1,6 +1,8 @@
 """Problem schema: grids, state-space and cost containers, validation,
 variant quadratic forms, and the structured covariance operators with
 their adjoints."""
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,9 @@ class TestTimeGrid:
             TimeGrid(T=-1.0, steps=10)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, steps=0)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TimeGrid(T=T, steps=10)
 
 
 class TestCoeffAt:
@@ -191,6 +196,64 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             validate(spec)
         assert any(v.code == "BadSampleCount" for v in err.value.violations)
+
+
+class TestNonFinite:
+    """NaN or infinity anywhere in the data is rejected by validate with
+    code NonFinite, and the analyzers never turn it into a verdict."""
+
+    @staticmethod
+    def codes(spec):
+        with pytest.raises(ValidationError) as err:
+            validate(spec)
+        return {(v.field, v.code) for v in err.value.violations}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["system.A", "system.B", "cost.Q",
+                                       "cost.N", "cost.R", "variant.x_i"])
+    def test_regulator_fields(self, field, bad):
+        data = {"system.A": [[0.0]], "system.B": [[1.0]], "cost.Q": [[1.0]],
+                "cost.N": [[0.0]], "cost.R": [[1.0]], "variant.x_i": [1.0]}
+        data[field] = np.where(np.ones_like(data[field]), bad, 0.0)
+        cost = CostData(Q=data["cost.Q"], N=data["cost.N"], R=data["cost.R"])
+        for variant in (LQR(cost=cost, x_i=data["variant.x_i"]),
+                        GeneralIQC(cost=cost, x_i=data["variant.x_i"])):
+            spec = ProblemSpec(sys=StateSpace(A=data["system.A"],
+                                              B=data["system.B"]),
+                               grid=TimeGrid(T=1.0, steps=10),
+                               variant=variant)
+            assert self.codes(spec) == {(field, "NonFinite")}
+
+    def test_sampled_coefficient_and_stochastic_payloads(self):
+        a = np.zeros((11, 1, 1))
+        a[7] = math.nan
+        cost = CostData(Q=[[1.0]], N=None, R=[[1.0]])
+        spec = ProblemSpec(sys=StateSpace(A=a, B=[[1.0]]),
+                           grid=TimeGrid(T=1.0, steps=10),
+                           variant=StochLQR(cost=cost, X_i=[[math.inf]],
+                                            W=[[math.nan]]))
+        assert self.codes(spec) == {("system.A", "NonFinite"),
+                                    ("variant.X_i", "NonFinite"),
+                                    ("variant.W", "NonFinite")}
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_gamma_and_output_map(self, gamma):
+        sys = StateSpace(A=[[0.0]], B=[[1.0]], C=[[math.inf]])
+        spec = ProblemSpec(sys=sys, grid=TimeGrid(T=1.0, steps=10),
+                           variant=BoundedReal(gamma=gamma))
+        assert self.codes(spec) == {("system.C", "NonFinite"),
+                                    ("variant.gamma", "NonFinite")}
+
+    def test_analyzer_raises_instead_of_minus_infinity(self):
+        from lqconic import iqc_infimum
+
+        cost = CostData(Q=[[1.0]], N=None, R=[[1.0]])
+        spec = ProblemSpec(sys=StateSpace(A=[[math.nan]], B=[[1.0]]),
+                           grid=TimeGrid(T=1.0, steps=10),
+                           variant=GeneralIQC(cost=cost, x_i=[1.0]))
+        with pytest.raises(ValidationError) as err:
+            iqc_infimum(spec)
+        assert [v.code for v in err.value.violations] == ["NonFinite"]
 
 
 class TestEffectiveCost:

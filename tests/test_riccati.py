@@ -8,6 +8,7 @@ Scalar damped Lyapunov (f=-1, h=1, T=1): x(t) = (1 - exp(-2(1-t))) / 2.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from lqconic import (
@@ -23,6 +24,9 @@ from lqconic import (
     solve_lyapunov_final,
     transition_matrix,
 )
+from lqconic import riccati
+from lqconic.analyzers import dri_cloud, scalar_preset
+from lqconic.model import effective_cost
 from lqconic.riccati import draw_forcing, forcing_amplitude, switch_bounds
 
 from oracles import reference_dre
@@ -320,3 +324,84 @@ class TestRiccatiResidual:
         res = riccati_residual(flat, scalar_system(), scalar_cost())
         # constant 0.5 leaves q - lam^2 = 0.75 at every node
         np.testing.assert_allclose(res.values[:, 0, 0], 0.75, atol=1e-10)
+
+
+def eigvalsh_sigma_max(y, cap=None):
+    """The unscreened escape norm: eigvalsh on every finite sample."""
+    norms = np.full(y.shape[0], np.inf)
+    finite = np.isfinite(y).all(axis=(1, 2))
+    if finite.any():
+        norms[finite] = np.abs(np.linalg.eigvalsh(y[finite])).max(axis=1)
+    return norms
+
+
+class TestEscapePrescreen:
+    """The Frobenius pre-screen changes which samples reach eigvalsh, never
+    a cap verdict."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cap_verdict_equals_eigvalsh(self, data):
+        n = data.draw(st.integers(1, 4))
+        size = data.draw(st.integers(1, 10))
+        cap = data.draw(st.sampled_from([1e-3, 1.0, 1e9, 1e160]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # per sample: a shape whose Frobenius norm is loose (random) or
+        # tight (rank one, diagonal) against sigma_max, scaled so sigma_max
+        # lands just above or below the cap, or clearly on either side
+        y = np.empty((size, n, n))
+        for i in range(size):
+            shape = data.draw(st.sampled_from(["random", "rank1", "diag"]))
+            if shape == "random":
+                g = rng.standard_normal((n, n))
+                sample = g + g.T
+            elif shape == "rank1":
+                u = rng.standard_normal(n)
+                sample = np.outer(u, u) * data.draw(st.sampled_from([1, -1]))
+            else:
+                sample = np.zeros((n, n))
+                sample[0, 0] = 1.0
+            offset = data.draw(st.sampled_from(
+                [-0.5, -1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 2.0]))
+            sigma = np.abs(np.linalg.eigvalsh(sample)).max()
+            y[i] = sample * (cap * (1.0 + offset) / sigma)
+            bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+            if bad is not None:
+                y[i, 0, n - 1] = bad
+        got = riccati._batch_sigma_max(y, cap) > cap
+        np.testing.assert_array_equal(got, eigvalsh_sigma_max(y) > cap)
+
+    def _unscreened(self, monkeypatch, call):
+        with monkeypatch.context() as m:
+            m.setattr(riccati, "_batch_sigma_max", eigvalsh_sigma_max)
+            return call()
+
+    @pytest.mark.parametrize("q_sign", [1, -1])
+    @pytest.mark.parametrize("m_sign", [1, -1])
+    def test_scalar_preset_escapes_unchanged(self, monkeypatch, q_sign,
+                                             m_sign):
+        spec = scalar_preset(q_sign, m_sign)
+
+        def solve():
+            return solve_dre_final(spec.sys, effective_cost(spec),
+                                   np.zeros((1, 1)), spec.grid)
+
+        screened, plain = solve(), self._unscreened(monkeypatch, solve)
+        assert screened.escaped == plain.escaped
+        assert screened.escape_time == plain.escape_time
+        if screened.escaped:
+            assert screened.escape_time == pytest.approx(
+                spec.grid.T - np.pi / 2.0, abs=2 * spec.grid.h)
+
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_preset_clouds_unchanged(self, monkeypatch, signs):
+        spec = scalar_preset(*signs, steps=256)
+
+        def cloud():
+            return dri_cloud(spec, n_samples=40, seed=11)
+
+        screened, plain = cloud(), self._unscreened(monkeypatch, cloud)
+        assert screened.n_escaped == plain.n_escaped
+        assert screened.maximal == plain.maximal
+        assert [s.escape_time for s in screened.samples] == \
+            [s.escape_time for s in plain.samples]
