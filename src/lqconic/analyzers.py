@@ -26,9 +26,10 @@ from .dlmi import dual_objective, feasibility
 from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     ProblemSpec, StateSpace, StochLQR, TimeGrid,
                     assemble_quadform, coeff_on, effective_cost, validate)
-from .riccati import (DreSolution, DriSample, MatTrajectory,
-                      _node_forcing_lookup, _RicFlow, _sweep, draw_forcing,
-                      forcing_amplitude, solve_dre_final, switch_bounds)
+from .riccati import (ESCAPE_CAP, DreSolution, DriSample, MatTrajectory,
+                      _dre_solution, _node_forcing_lookup, _RicFlow, _sweep,
+                      draw_forcing, forcing_amplitude, solve_dre_final,
+                      switch_bounds)
 
 __all__ = [
     "Certificate",
@@ -225,7 +226,7 @@ def _escape_certificate(spec: ProblemSpec, dre: DreSolution, tag: str,
 
 
 def solve_lqr(spec: ProblemSpec, tol: float = 1e-9,
-              escape_cap: float = 1e9) -> Certificate:
+              escape_cap: float = ESCAPE_CAP) -> Certificate:
     """Deterministic regulator: optimal value x_i^T Lam(0) x_i with the
     feedback gain that attains it; the data's sign hypotheses make escape
     impossible, so escape is reported as a hard error."""
@@ -241,7 +242,7 @@ def solve_lqr(spec: ProblemSpec, tol: float = 1e-9,
 
 
 def solve_stoch_lqr(spec: ProblemSpec, tol: float = 1e-9,
-                    escape_cap: float = 1e9) -> Certificate:
+                    escape_cap: float = ESCAPE_CAP) -> Certificate:
     """Stochastic regulator: value tr(Lam(0) X_i) + integral of tr(Lam W);
     the gain equals the deterministic one (it never depends on X_i or W)."""
     validate(spec)
@@ -256,7 +257,7 @@ def solve_stoch_lqr(spec: ProblemSpec, tol: float = 1e-9,
 
 
 def iqc_infimum(spec: ProblemSpec, tol: float = 1e-9,
-                escape_cap: float = 1e9) -> Certificate:
+                escape_cap: float = ESCAPE_CAP) -> Certificate:
     """Infimum of a sign-indefinite quadratic form over the trajectories:
     finite (with certificate) when the Riccati flow stays bounded, minus
     infinity (with the escape time) when it does not."""
@@ -345,7 +346,9 @@ def passivity_test(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
     the Riccati flow of the half-sum quadratic form stays bounded."""
     d = sys.D if sys.D.ndim == 2 else sys.D[0]
     ds = d + d.T
-    if ds.size == 0 or float(np.linalg.eigvalsh(0.5 * ds).min()) <= 0.0:
+    # a non-finite D is left to validate, which rejects it as NonFinite
+    if ds.size == 0 or np.isfinite(ds).all() and \
+            float(np.linalg.eigvalsh(0.5 * ds).min()) <= 0.0:
         raise DNotStrictlyPassive(
             "D + D^T must be strictly positive definite for the "
             "finite-horizon passivity test")
@@ -377,69 +380,70 @@ def scalar_preset(q_sign: int, m_sign: int, T: float = 2.0,
 
 def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
               switch_points: int = 10, seed: int = 0,
-              tol: float = 1e-7) -> DriCloudReport:
+              tol: float = 1e-7,
+              escape_cap: float = ESCAPE_CAP) -> DriCloudReport:
     """Sample a cloud of forced inequality solutions against the equation's
     extremal and report whether the extremal dominates every sample at every
     shared node.
 
-    Sample i reproduces sample_dri_solution with seed+i bitwise; all samples
-    integrate in one batched sweep. Per-sample residual sweeps are skipped
-    here (the cloud's contract is the ordering, not integration accuracy).
+    One batched sweep integrates the extremal, as sample 0 with a zero
+    forcing (adding it changes no value), and the forced samples behind it,
+    all under the same escape cap. The extremal reproduces solve_dre_final
+    bitwise, residual included, and sample i reproduces sample_dri_solution
+    with seed+i bitwise. Per-sample residual sweeps are skipped here (the
+    cloud's contract is the ordering, not integration accuracy).
     """
     sys, grid = spec.sys, spec.grid
     cost = effective_cost(spec)
     n = sys.n
-    dre = solve_dre_final(sys, cost, np.zeros((n, n)), grid)
+
+    amp = forcing_amplitude(cost)
+    hvals = np.zeros((n_samples + 1, switch_points, n, n))
+    for i in range(n_samples):
+        hvals[i + 1] = draw_forcing(n, switch_points, seed + i, amp)
+    bounds = switch_bounds(grid.steps, switch_points)
+    lookup, step_to_interval = _node_forcing_lookup(hvals, bounds)
+    flow = _RicFlow(sys, cost, grid)
+    lam0 = np.zeros((n_samples + 1, n, n))
+    values, escaped, escape_time = _sweep(flow, lam0, grid, "final",
+                                          escape_cap, forcings=lookup)
+    dre = _dre_solution(flow, grid, values[0], escaped[0], escape_time[0],
+                        "final", "dre-final")
 
     samples: List[DriSample] = []
-    worst: Optional[float] = None
-    n_escaped = 0
+    node_interval = np.append(step_to_interval, step_to_interval[-1])
+    dre_valid = dre.lam.valid_mask()
+    worst = math.inf
+    for i in range(n_samples):
+        lam_traj = MatTrajectory(grid, values[i + 1], meta=f"dri-{i}")
+        forcing_traj = MatTrajectory(grid, hvals[i + 1][node_interval],
+                                     meta=f"dri-forcing-{i}")
+        esc = bool(escaped[i + 1])
+        samples.append(DriSample(
+            lam=lam_traj,
+            forcing=forcing_traj,
+            escaped=esc,
+            escape_time=float(escape_time[i + 1]) if esc else None,
+            residual_max=float("nan"),
+        ))
+        shared = dre_valid & lam_traj.valid_mask()
+        if shared.any():
+            diff = dre.lam.values[shared] - lam_traj.values[shared]
+            diff = 0.5 * (diff + diff.transpose(0, 2, 1))
+            margin = float(np.linalg.eigvalsh(diff)[:, 0].min())
+            worst = min(worst, margin)
     maximal = True
-
-    if n_samples > 0:
-        amp = forcing_amplitude(cost)
-        hvals = np.empty((n_samples, switch_points, n, n))
-        for i in range(n_samples):
-            hvals[i] = draw_forcing(n, switch_points, seed + i, amp)
-        bounds = switch_bounds(grid.steps, switch_points)
-        lookup, step_to_interval = _node_forcing_lookup(hvals, bounds)
-        flow = _RicFlow(sys, cost, grid)
-        lam0 = np.zeros((n_samples, n, n))
-        values, escaped, escape_time = _sweep(flow, lam0, grid, "final",
-                                              1e9, forcings=lookup)
-        node_interval = np.append(step_to_interval, step_to_interval[-1])
-        dre_valid = dre.lam.valid_mask()
-        worst = math.inf
-        for i in range(n_samples):
-            lam_traj = MatTrajectory(grid, values[i], meta=f"dri-{i}")
-            forcing_traj = MatTrajectory(grid, hvals[i][node_interval],
-                                         meta=f"dri-forcing-{i}")
-            esc = bool(escaped[i])
-            n_escaped += int(esc)
-            samples.append(DriSample(
-                lam=lam_traj,
-                forcing=forcing_traj,
-                escaped=esc,
-                escape_time=float(escape_time[i]) if esc else None,
-                residual_max=float("nan"),
-            ))
-            shared = dre_valid & lam_traj.valid_mask()
-            if shared.any():
-                diff = dre.lam.values[shared] - values[i][shared]
-                diff = 0.5 * (diff + diff.transpose(0, 2, 1))
-                margin = float(np.linalg.eigvalsh(diff)[:, 0].min())
-                worst = min(worst, margin)
-        if worst is not math.inf:
-            maximal = worst >= -tol
-        else:
-            worst = None
+    if worst is not math.inf:
+        maximal = worst >= -tol
+    else:
+        worst = None
 
     return DriCloudReport(
         dre=dre,
         samples=samples,
         maximal=maximal,
         worst_margin=worst,
-        n_escaped=n_escaped,
+        n_escaped=int(escaped[1:].sum()),
         tol=tol,
         seed=seed,
         switch_points=switch_points,

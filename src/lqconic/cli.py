@@ -27,6 +27,7 @@ from .analyzers import (BracketFailure, Certificate, DNotStrictlyPassive,
 from .covariance import Gain
 from .model import (BoundedReal, GeneralIQC, LQR, PositiveReal, ProblemSpec,
                     CostData, StateSpace, StochLQR, TimeGrid, ValidationError)
+from .riccati import ESCAPE_CAP
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -195,10 +196,16 @@ def parse_problem(doc, steps_override=None, T_override=None):
     options = {
         "tol": _num(opts_doc, "tol", "options", required=False, default=1e-9),
         "escape_cap": _num(opts_doc, "escape_cap", "options",
-                           required=False, default=1e9),
+                           required=False, default=ESCAPE_CAP),
         "seed": int(_num(opts_doc, "seed", "options",
                          required=False, default=0)),
     }
+    # the schema requires both positive; a cap at or below zero would make
+    # every solve escape, a verdict on any data
+    for key in ("tol", "escape_cap"):
+        if not options[key] > 0:
+            raise DocumentError(f"options.{key}",
+                                f"must be positive, got {options[key]!r}")
     return ProblemSpec(sys=sys_obj, grid=grid, variant=variant), options
 
 
@@ -377,9 +384,10 @@ def cmd_passivity(args):
     if not isinstance(spec.variant, PositiveReal):
         raise DocumentError("variant.type",
                             "subcommand 'passivity' needs a positive_real problem")
+    tol = args.tol if args.tol is not None else options["tol"]
     t0 = time.perf_counter()
     passive, cert = passivity_test(spec.sys, spec.grid.T,
-                                   steps=spec.grid.steps)
+                                   steps=spec.grid.steps, tol=tol)
     timing = time.perf_counter() - t0
     result = certificate_document(cert, problem_sha256(doc), timing)
     _emit(result, args.out)
@@ -398,7 +406,7 @@ def cmd_dri_cloud(args):
                             "general_iqc) problem")
     seed = args.seed if args.seed is not None else options["seed"]
     report = dri_cloud(spec, n_samples=args.samples, switch_points=10,
-                       seed=seed)
+                       seed=seed, escape_cap=options["escape_cap"])
 
     csv_dir = Path(args.csv_dir)
     csv_dir.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,12 @@ Frobenius norm, an upper bound on the largest singular value, so eigvalsh
 runs only on samples that may exceed the cap; the verdicts are those of
 eigvalsh on every sample.
 
+A sweep integrates a batch of samples. A sample that exceeds the cap leaves
+the batch with its last good state, so later steps touch only the samples
+still bounded; after the sweep the escapes of all samples are refined
+together, in one bisection vectorized over the samples. Each sample's
+values and escape time are those of a sweep of that sample alone.
+
 Node-sampled coefficients are tabulated at the RK4 stage times one block of
 NODE_BLOCK steps at a time, not interpolated and inverted at every stage;
 the finite-difference residual sweep evaluates the Riccati operator along
@@ -221,23 +227,38 @@ def _batch_sigma_max(y: np.ndarray, cap: float) -> np.ndarray:
     return norms
 
 
-def _refine_escape(flow, t_good, y_good, h, sign, cap, forcing) -> float:
-    """Bisect the step size at which a single RK4 step first exceeds the cap."""
-    lo, hi = 0.0, h
+def _refine_escape(flow, t_good, y_good, h, sign, cap, forcing):
+    """Bisect, per sample, the step size at which one RK4 step from its last
+    good state first exceeds the cap.
+
+    t_good (E,), y_good (E, n, n) and forcing ((E, n, n) or None) hold each
+    escaped sample's last good node and the forcing of the step it failed.
+    All samples bisect together; a sample leaves once the midpoint no longer
+    splits its bracket. Returns the escape times (E,).
+    """
+    lo_all, hi_all = np.zeros(t_good.shape), np.full(t_good.shape, h)
+    # the samples still bisecting, with their brackets and step data
+    idx, lo, hi = np.arange(t_good.size), lo_all.copy(), hi_all.copy()
+    t, y, f = t_good, y_good, forcing
     for _ in range(ESCAPE_REFINE_ITERS):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+        split = (mid != lo) & (mid != hi)
+        if not split.all():
+            lo_all[idx], hi_all[idx] = lo, hi
+            idx, lo, hi, mid, t, y = (a[split]
+                                      for a in (idx, lo, hi, mid, t, y))
+            f = f[split] if f is not None else None
+            if idx.size == 0:
+                break
         dt = sign * mid
-        tables = flow.stage_tables(np.array([t_good]), dt)
-        stages = tables if flow.const else [_row(tab, 0) for tab in tables]
+        stages = flow.stage_tables(t, dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            trial = _rk4_step(stages, y_good, dt, forcing)
-        if _batch_sigma_max(trial, cap)[0] > cap:
-            hi = mid
-        else:
-            lo = mid
-    return t_good + sign * 0.5 * (lo + hi)
+            trial = _rk4_step(stages, y, dt[:, None, None], f)
+        over = _batch_sigma_max(trial, cap) > cap
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+    lo_all[idx], hi_all[idx] = lo, hi
+    return t_good + sign * 0.5 * (lo_all + hi_all)
 
 
 def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, direction: str,
@@ -247,7 +268,10 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, direction: str,
     forcings: None, or per-step forcing lookup ``forcings(step_index)``
     returning a (S, n, n) array for the step between nodes step_index and
     step_index+1. Sampled coefficients are tabulated at the RK4 stage times
-    one block of steps at a time.
+    one block of steps at a time. Only the samples still below the cap are
+    stepped: a sample that exceeds it leaves the batch, and the sweep ends
+    when none is left. The escape times of all escaped samples are refined
+    together after the sweep, from the last good state each one kept.
 
     Returns (values (S, K+1, n, n) with NaN beyond escape, escaped (S,),
     escape_time (S,)).
@@ -270,34 +294,41 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, direction: str,
 
     y = 0.5 * (lam0 + lam0.transpose(0, 2, 1))
     values[:, start_node] = y
-    active = np.ones(s, dtype=bool)
+    live = np.arange(s)
+    # per step with escapes: (samples, time, last good states, forcings)
+    blown = []
 
     for block in node_blocks(k_steps):
         ks = step_order[block]
         tables = flow.stage_tables(times[ks], dt)
         for j, k in enumerate(ks.tolist()):
-            t = times[k]
             target = k - 1 if direction == "final" else k + 1
             step_idx = k - 1 if direction == "final" else k
-            forcing = forcings(step_idx) if forcings is not None else None
+            forcing = None if forcings is None else forcings(step_idx)[live]
             stages = tables if flow.const else [_row(tab, j) for tab in tables]
             with np.errstate(over="ignore", invalid="ignore"):
                 y_new = _rk4_step(stages, y, dt, forcing)
-            norms = _batch_sigma_max(y_new, cap)
-            blew = active & (norms > cap)
+            blew = _batch_sigma_max(y_new, cap) > cap
             if blew.any():
-                for i in np.nonzero(blew)[0]:
-                    fi = forcing[i:i + 1] if forcing is not None else None
-                    escape_time[i] = _refine_escape(
-                        flow, t, y[i:i + 1], h, sign, cap, fi)
-                escaped |= blew
-                active &= ~blew
-                if not active.any():
-                    return values, escaped, escape_time
-            ok = active
-            values[ok, target] = y_new[ok]
-            y = np.where(active[:, None, None], y_new, y)
+                blown.append((live[blew], times[k], y[blew],
+                              None if forcing is None else forcing[blew]))
+                live, y_new = live[~blew], y_new[~blew]
+                if live.size == 0:
+                    break
+            values[live, target] = y_new
+            y = y_new
+        if live.size == 0:
+            break
 
+    if blown:
+        idx = np.concatenate([b[0] for b in blown])
+        t_good = np.concatenate([np.full(b[0].size, b[1]) for b in blown])
+        y_good = np.concatenate([b[2] for b in blown])
+        f_good = None if forcings is None else \
+            np.concatenate([b[3] for b in blown])
+        escaped[idx] = True
+        escape_time[idx] = _refine_escape(flow, t_good, y_good, h, sign, cap,
+                                          f_good)
     return values, escaped, escape_time
 
 
@@ -391,13 +422,17 @@ def _solve_dre(sys, cost, lam_bc, grid, direction, escape_cap, meta):
                          f"({sys.n}, {sys.n})")
     values, escaped, escape_time = _sweep(
         flow, lam0[None], grid, direction, escape_cap)
-    traj = MatTrajectory(grid, values[0], meta=meta)
-    residual = _residual_sweep(values[0], flow, grid)
+    return _dre_solution(flow, grid, values[0], escaped[0], escape_time[0],
+                         direction, meta)
+
+
+def _dre_solution(flow, grid, values, escaped, escape_time, direction, meta):
+    """DreSolution of one unforced sample of a sweep, with its residual."""
     return DreSolution(
-        lam=traj,
-        escaped=bool(escaped[0]),
-        escape_time=float(escape_time[0]) if escaped[0] else None,
-        residual_max=residual,
+        lam=MatTrajectory(grid, values, meta=meta),
+        escaped=bool(escaped),
+        escape_time=float(escape_time) if escaped else None,
+        residual_max=_residual_sweep(values, flow, grid),
         direction=direction,
     )
 

@@ -224,6 +224,14 @@ class TestPassivity:
         with pytest.raises(DNotStrictlyPassive):
             passivity_test(sys, T=5.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feedthrough_is_non_finite(self, bad):
+        # -inf makes D + D^T look indefinite; validation must see it first
+        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[bad]])
+        with pytest.raises(ValidationError) as e:
+            passivity_test(sys, T=1.0, steps=16)
+        assert [v.code for v in e.value.violations] == ["NonFinite"]
+
     def test_agrees_with_quadratic_form_oracle(self):
         for sys, T in ((self.GOOD, 5.0), (self.BAD, 10.0)):
             ok, _ = passivity_test(sys, T=T)
@@ -278,15 +286,41 @@ class TestDriCloud:
             assert np.array_equal(sa.forcing.values, sb.forcing.values)
 
     def test_samples_match_standalone_draws(self):
-        from lqconic import sample_dri_solution
-        spec = scalar_preset(1, 1, steps=128)
-        report = dri_cloud(spec, n_samples=3, seed=5)
-        for i, s in enumerate(report.samples):
-            solo = sample_dri_solution(spec.sys, spec.variant.cost,
-                                       np.zeros((1, 1)), spec.grid,
-                                       switch_points=10, seed=5 + i)
-            np.testing.assert_allclose(s.lam.values, solo.lam.values,
-                                       atol=1e-12, equal_nan=True)
+        # the cloud's one batched sweep reproduces the standalone solves
+        # bitwise: every sample (escapes included) and the extremal
+        from lqconic import sample_dri_solution, solve_dre_final
+        rng = np.random.default_rng(4)
+        g = rng.uniform(-1.0, 1.0, (3, 3))
+        system3 = ProblemSpec(
+            sys=StateSpace(A=rng.uniform(-1.0, 1.0, (3, 3)),
+                           B=rng.uniform(-1.0, 1.0, (3, 1))),
+            grid=TimeGrid(T=2.0, steps=128),
+            variant=LQR(cost=CostData(Q=g @ g.T, N=None, R=np.eye(1)),
+                        x_i=np.ones(3)))
+        specs = [scalar_preset(q, m, steps=128)
+                 for q, m in ((1, 1), (1, -1), (-1, 1))] + [system3]
+        escapes = []
+        for spec in specs:
+            n, cost = spec.sys.n, spec.variant.cost
+            report = dri_cloud(spec, n_samples=6, seed=5)
+            dre = solve_dre_final(spec.sys, cost, np.zeros((n, n)), spec.grid)
+            assert np.array_equal(report.dre.lam.values, dre.lam.values,
+                                  equal_nan=True)
+            assert report.dre.escape_time == dre.escape_time
+            assert report.dre.residual_max == dre.residual_max
+            for i, s in enumerate(report.samples):
+                solo = sample_dri_solution(spec.sys, cost, np.zeros((n, n)),
+                                           spec.grid, switch_points=10,
+                                           seed=5 + i)
+                assert np.array_equal(s.lam.values, solo.lam.values,
+                                      equal_nan=True)
+                assert np.array_equal(s.forcing.values, solo.forcing.values)
+                assert s.escaped == solo.escaped
+                assert s.escape_time == solo.escape_time
+            escapes.append((report.dre.escaped, report.n_escaped))
+        # the cases cover escaping extremals and escaping samples
+        assert [e for e, _ in escapes] == [False, True, True, False]
+        assert [k > 0 for _, k in escapes] == [False, True, True, True]
 
 
 class TestVerifySolution:

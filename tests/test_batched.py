@@ -1,4 +1,5 @@
-"""Node-batched certificate stages against their per-node loops.
+"""Node-batched certificate stages against their per-node loops, and the
+sample-batched escape refinement against its per-sample bisection.
 
 The certificate stages (DLMI feasibility, gain, quadratures, residual
 sweeps, forward propagations) evaluate along the node axis in blocks of
@@ -7,6 +8,10 @@ are the reference: one node at a time, every coefficient read by coeff_at.
 Grids have 2 * NODE_BLOCK + 3 steps, so a partial tail block is covered,
 and the coefficients are constant, node-sampled, or sampled on a grid and
 evaluated on its 2x refinement (as verify_solution does).
+
+A Riccati sweep refines the escapes of all its samples in one vectorized
+bisection after the sweep; the reference bisects one sample at a time from
+its last good state, and must give the same escape times bitwise.
 """
 import numpy as np
 import pytest
@@ -22,11 +27,14 @@ from lqconic.dlmi import dual_objective, feasibility
 from lqconic.model import (CostData, ProblemSpec, StateSpace, StochLQR,
                            TimeGrid, apply_Aop, assemble_quadform, coeff_at,
                            coeff_on)
-from lqconic.riccati import (_node_forcing_lookup,
-                             _residual_sweep, _RicFlow, _sweep, draw_forcing,
-                             riccati_residual, solve_dre_final, switch_bounds)
+from lqconic import riccati
+from lqconic.riccati import (_batch_sigma_max, _node_forcing_lookup,
+                             _residual_sweep, _RicFlow, _rk4_step, _row,
+                             _sweep, draw_forcing, riccati_residual,
+                             solve_dre_final, switch_bounds)
 
 STEPS = 2 * NODE_BLOCK + 3
+DEFAULT_ITERS = riccati.ESCAPE_REFINE_ITERS
 RTOL = 1e-12
 KINDS = ("constant", "sampled", "coarse-on-2x")
 
@@ -400,3 +408,101 @@ class TestCoeffOn:
             want = coeff_at(coeff, ti, grid)
             assert got[i].tobytes() == want.tobytes(), (ti, i)
 
+
+# ---------------------------------------------------------------------------
+# escape refinement
+
+def ref_refine_escape(flow, t_good, y_good, h, sign, cap, forcing):
+    """Bisect the step size at which a single RK4 step first exceeds the cap
+    (one sample); returns the escape time and the bisection steps taken."""
+    lo, hi = 0.0, h
+    taken = 0
+    for _ in range(riccati.ESCAPE_REFINE_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        taken += 1
+        dt = sign * mid
+        tables = flow.stage_tables(np.array([t_good]), dt)
+        stages = tables if flow.const else [_row(tab, 0) for tab in tables]
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = _rk4_step(stages, y_good, dt, forcing)
+        if _batch_sigma_max(trial, cap)[0] > cap:
+            hi = mid
+        else:
+            lo = mid
+    return t_good + sign * 0.5 * (lo + hi), taken
+
+
+class TestEscapeRefinement:
+    """One sweep over a batch whose samples escape at different steps (one
+    on the first step, some never), with per-sample forcings, against the
+    per-sample bisection from each escaped sample's last good node."""
+
+    CAP = 40.0
+    # starting distance along the escape path and forcing amplitude
+    LAM0 = (0.0, 0.0, 0.0, 1.0, 3.0, 10.0, 39.5, 0.5)
+    AMP = (0.0, 0.3, 2.0, 0.5, 0.0, 1.0, 0.0, 4.0)
+
+    def _batch(self, kind, direction):
+        rng = np.random.default_rng(8)
+        n, steps = 2, 40
+        s = np.linspace(0.0, 1.0, steps + 1)[:, None, None]
+        wave = 1.0 + 0.3 * np.sin(5.0 * s) if kind == "sampled" else 1.0
+        g = rng.uniform(-1.0, 1.0, (n, n))
+        # a negative definite state weight: the flow escapes downward
+        # backward in time and upward forward in time
+        sys = StateSpace(A=0.3 * rng.uniform(-1.0, 1.0, (n, n)) * wave,
+                         B=rng.uniform(0.5, 1.0, (n, 1)) * wave)
+        cost = CostData(Q=-(g @ g.T + 0.5 * np.eye(n)), N=None, R=[[1.0]])
+        grid = TimeGrid(T=1.0, steps=steps)
+        sign = -1.0 if direction == "final" else 1.0
+        lam0 = np.stack([sign * c * np.eye(n) for c in self.LAM0])
+        hvals = np.stack([draw_forcing(n, 6, 30 + i, a)
+                          for i, a in enumerate(self.AMP)])
+        bounds = switch_bounds(steps, 6)
+        flow = _RicFlow(sys, cost, grid)
+        return flow, grid, lam0, hvals, bounds, sign
+
+    @pytest.mark.parametrize("iters", [DEFAULT_ITERS, 64])
+    @pytest.mark.parametrize("direction", ["final", "initial"])
+    @pytest.mark.parametrize("kind", ["constant", "sampled"])
+    def test_batched_refinement_matches_per_sample(self, monkeypatch, kind,
+                                                   direction, iters):
+        # with 64 bisection steps every bracket reaches float resolution,
+        # so the samples stop early on mid == lo or hi, each at its own step
+        monkeypatch.setattr(riccati, "ESCAPE_REFINE_ITERS", iters)
+        flow, grid, lam0, hvals, bounds, sign = self._batch(kind, direction)
+        lookup, _ = _node_forcing_lookup(hvals, bounds)
+        values, escaped, escape_time = _sweep(flow, lam0, grid, direction,
+                                              self.CAP, forcings=lookup)
+        valid = np.isfinite(values).all(axis=(2, 3))
+        escape_steps, taken = set(), []
+        for i in np.nonzero(escaped)[0]:
+            nodes = np.nonzero(valid[i])[0]
+            k = nodes[0] if direction == "final" else nodes[-1]
+            step = k - 1 if direction == "final" else k
+            want, used = ref_refine_escape(
+                flow, grid.times()[k], values[i, k][None], grid.h, sign,
+                self.CAP, lookup(step)[i:i + 1])
+            assert escape_time[i] == want
+            escape_steps.add(nodes.size)
+            taken.append(used)
+        assert np.isnan(escape_time[~escaped]).all()
+
+        # each sample swept alone gives the same result
+        for i in range(lam0.shape[0]):
+            solo_lookup, _ = _node_forcing_lookup(hvals[i:i + 1], bounds)
+            v1, e1, t1 = _sweep(flow, lam0[i:i + 1], grid, direction,
+                                self.CAP, forcings=solo_lookup)
+            assert np.array_equal(values[i], v1[0], equal_nan=True)
+            assert escaped[i] == e1[0]
+            assert np.array_equal(escape_time[i:i + 1], t1, equal_nan=True)
+
+        # the batch covers what it is meant to cover
+        assert not escaped.all() and len(escape_steps) >= 3
+        assert 1 in escape_steps  # escaped on the first step
+        if iters > DEFAULT_ITERS:
+            assert max(taken) < iters and len(set(taken)) > 1
+        else:
+            assert set(taken) == {iters}

@@ -106,6 +106,18 @@ class TestProblemParsing:
         _, options = parse_problem(doc)
         assert options == {"tol": 1e-7, "escape_cap": 50.0, "seed": 3}
 
+    @pytest.mark.parametrize("key", ["tol", "escape_cap"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_option_rejected(self, tmp_path, capsys, key,
+                                          value):
+        # with escape_cap -1 a finite iqc problem would report minus infinity
+        doc = iqc_doc(T=0.5)
+        doc["options"] = {key: value}
+        with pytest.raises(DocumentError, match=f"options.{key}"):
+            parse_problem(doc)
+        rc, out, _ = run(capsys, ["iqc", write_doc(tmp_path, doc)])
+        assert rc == 1 and out == ""
+
     def test_overrides_beat_document(self):
         spec, _ = parse_problem(lqr_doc(steps=64), steps_override=128,
                                 T_override=2.0)
@@ -241,6 +253,23 @@ class TestExitCodes:
         res = json.loads(out)
         assert res["verdict"] is False
         assert res["minus_infinity"] is True
+
+    def test_passivity_tol_reaches_the_test(self, tmp_path, capsys,
+                                            monkeypatch):
+        import lqconic.cli as cli_mod
+        seen = []
+        real = cli_mod.passivity_test
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "passivity_test", spy)
+        doc = pr_doc(True, steps=64)
+        run(capsys, ["passivity", write_doc(tmp_path, doc), "--tol", "1e-5"])
+        doc["options"] = {"tol": 1e-6}
+        run(capsys, ["passivity", write_doc(tmp_path, doc, "opts.json")])
+        assert seen == [1e-5, 1e-6]
 
     def test_passivity_d_zero_is_input_error(self, tmp_path, capsys):
         doc = pr_doc(True)
@@ -398,6 +427,24 @@ class TestDriCloudCommand:
                                 "--seed", "11", "--csv-dir", str(d)])
         assert rc == 0
         assert json.loads((d / "summary.json").read_text())["seed"] == 11
+
+    def test_escape_cap_option_reaches_the_cloud(self, tmp_path, capsys):
+        # the extremal tanh(2 - t) peaks at tanh 2 = 0.96, above a 0.5 cap
+        doc = lqr_doc(steps=128, T=2.0)
+        d = tmp_path / "out"
+        rc, _, _ = run(capsys, ["dri-cloud", write_doc(tmp_path, doc),
+                                "--samples", "3", "--csv-dir", str(d)])
+        assert rc == 0
+        assert json.loads((d / "summary.json").read_text())[
+            "dre_escaped"] is False
+        doc["options"] = {"escape_cap": 0.5}
+        rc, _, _ = run(capsys, ["dri-cloud", write_doc(tmp_path, doc),
+                                "--samples", "3", "--csv-dir", str(d)])
+        assert rc == 0
+        summary = json.loads((d / "summary.json").read_text())
+        assert summary["dre_escaped"] is True
+        assert abs(summary["dre_escape_time"] - (2.0 - math.atanh(0.5))) \
+            < 2 * 2.0 / 128
 
     def test_rejects_norm_variants(self, tmp_path, capsys):
         rc, _, err = run(capsys, ["dri-cloud", write_doc(tmp_path, br_doc()),

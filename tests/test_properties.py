@@ -4,9 +4,13 @@ Each class states one structural law the library must satisfy for every
 admissible input, not just the hand-picked cases of the unit files:
 operator adjointness, Riccati sign and comparison laws, forced solutions
 staying below the unforced one, weak duality and the alignment identity,
-second-order residual decay, rank structure, serialization round trips.
+second-order residual decay, rank structure, serialization round trips,
+non-finite data rejected as bad input.
 """
 
+import contextlib
+import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -18,11 +22,14 @@ from lqconic.covariance import (Gain, alignment_residual,
                                 closed_loop_simulate,
                                 deterministic_covariance, descriptor_residual,
                                 primal_objective)
-from lqconic.cli import load_trajectory_csv, write_trajectory_csv
+from lqconic.analyzers import (bounded_real_test, iqc_infimum,
+                               passivity_test, solve_lqr, solve_stoch_lqr)
+from lqconic.cli import (load_trajectory_csv, main, parse_problem,
+                         write_trajectory_csv)
 from lqconic.dlmi import dual_objective
 from lqconic.model import (CostData, LQR, ProblemSpec, StateSpace, TimeGrid,
-                           apply_A_adj, apply_Aop, apply_E, apply_E_adj,
-                           assemble_quadform)
+                           ValidationError, apply_A_adj, apply_Aop, apply_E,
+                           apply_E_adj, assemble_quadform)
 from lqconic.riccati import (MatTrajectory, sample_dri_solution,
                              solve_dre_final, solve_dre_initial)
 from lqconic.symmat import eps_rank, trace_inner
@@ -241,3 +248,73 @@ class TestValueScaling:
         scaled = dual_objective(lam, x_i=np.array([alpha * x0]))
         assert math.isclose(scaled, alpha ** 2 * base,
                             rel_tol=1e-12, abs_tol=1e-300)
+
+
+# Well-posed two-state problem documents: per variant the CLI subcommand,
+# the feedthrough D, the variant section and the analyzer call.
+_SYSTEM_DOC = {"A": [[0.0, 1.0], [-1.0, -0.5]], "B": [[0.0], [1.0]],
+               "C": [[1.0, 0.0]]}
+_COST_DOC = {"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+             "N": [[0.0], [0.0]]}
+_VARIANT_DOCS = {
+    "lqr": ("lqr", 1.0, dict(_COST_DOC, type="lqr", x_i=[1.0, 0.5]),
+            solve_lqr),
+    "stoch_lqr": ("slqr", 1.0, dict(_COST_DOC, type="stoch_lqr",
+                                    X_i=[[1.0, 0.0], [0.0, 1.0]],
+                                    W=[[0.5, 0.0], [0.0, 0.5]]),
+                  solve_stoch_lqr),
+    "general_iqc": ("iqc", 1.0, dict(_COST_DOC, type="general_iqc",
+                                     x_i=[1.0, 0.5]),
+                    iqc_infimum),
+    "bounded_real": ("hinf", 0.0, {"type": "bounded_real", "gamma": 2.0},
+                     lambda spec: bounded_real_test(
+                         spec.sys, spec.variant.gamma, spec.grid.T,
+                         steps=spec.grid.steps)),
+    "positive_real": ("passivity", 1.0, {"type": "positive_real"},
+                      lambda spec: passivity_test(spec.sys, spec.grid.T,
+                                                  steps=spec.grid.steps)),
+}
+_NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+class TestNonFiniteRejected:
+    """A NaN or infinity anywhere in a coefficient or payload is bad input:
+    exit 1 from the CLI (never a minus-infinity or not-passive verdict), and
+    NonFinite from the Python API."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_entry_of_any_variant(self, data):
+        name = data.draw(st.sampled_from(sorted(_VARIANT_DOCS)))
+        command, d, vdoc, analyze = _VARIANT_DOCS[name]
+        doc = {"schema_version": "1", "system": dict(_SYSTEM_DOC, D=[[d]]),
+               "horizon": {"T": 1.0, "steps": 16}, "variant": dict(vdoc)}
+        fields = [("system", k) for k in sorted(doc["system"])] + \
+            [("variant", k) for k in sorted(vdoc) if k != "type"]
+        section, key = data.draw(st.sampled_from(fields))
+        literal = data.draw(st.sampled_from(sorted(_NON_FINITE)))
+        value = np.array(doc[section][key], dtype=float)
+        flat = value.reshape(-1)
+        flat[data.draw(st.integers(0, flat.size - 1))] = _NON_FINITE[literal]
+        doc[section][key] = value.tolist() if value.ndim else float(value)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "problem.json"
+            path.write_text(json.dumps(doc))
+            assert literal in path.read_text()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = main([command, str(path), "--out", str(Path(tmp) / "r")])
+        assert rc == 1, err.getvalue()
+
+        spec, _ = parse_problem(doc)
+        field = "cost" if key in _COST_DOC else section
+        try:
+            analyze(spec)
+        except ValidationError as e:
+            assert [(v.field, v.code) for v in e.violations] == \
+                [(f"{field}.{key}", "NonFinite")]
+        else:
+            raise AssertionError(f"{name}: non-finite {section}.{key} "
+                                 "accepted")
