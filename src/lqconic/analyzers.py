@@ -1,13 +1,16 @@
 """End-to-end variant solvers, each emitting a machine-checkable certificate.
 
-Every analyzer follows the same route: integrate the backward Riccati flow
+Every analyzer is one route, `analyze`: integrate the backward Riccati flow
 to get the maximal dual trajectory, read the optimal value off its initial
 node, derive the feedback gain, rebuild the primal covariance side, and
 report the evidence (dual feasibility margin, duality gap, alignment
 residual, rank of the dual slack). Finite escape of the Riccati flow is the
-boundary between verdicts: it means the constrained quadratic form is
-unbounded below (value minus infinity), the gain bound fails, or passivity
-fails, depending on the variant.
+boundary between verdicts, and the variants differ only in what it means:
+the regulator hypotheses rule it out (an error), the constrained quadratic
+form is unbounded below (value minus infinity), or the gain bound or
+passivity fails (verdict False). The public solvers are thin wrappers that
+build the problem and call `analyze`; `verify_solution` rebuilds the same
+primal side on a refined grid.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     assemble_quadform, coeff_on, effective_cost, validate)
 from .riccati import (ESCAPE_CAP, DreSolution, DriSample, MatTrajectory,
                       _dre_solution, _node_forcing_lookup, _RicFlow, _sweep,
-                      draw_forcing, forcing_amplitude, solve_dre_final,
-                      switch_bounds)
+                      draw_forcing, forcing_amplitude, loewner_compare,
+                      solve_dre_final, switch_bounds)
 
 __all__ = [
     "Certificate",
@@ -144,16 +147,28 @@ class VerificationReport:
     notes: List[str] = field(default_factory=list)
 
 
-def _payload(spec: ProblemSpec):
-    """(x_i, X_i, W) triple for the variant; exactly one side is active."""
-    var = spec.variant
-    if isinstance(var, (LQR, GeneralIQC)):
-        return var.x_i, None, None
+def _primal_side(spec: ProblemSpec, cost: CostData, lam: MatTrajectory,
+                 gain: Gain, tol: float):
+    """Dual value, primal trajectory (covariance from X_i and W, else the
+    closed loop from x_i, or from rest for the gain and passivity tests),
+    descriptor residual, primal value, alignment residual and DLMI
+    feasibility report of the dual trajectory lam and the gain."""
+    sys, grid, var = spec.sys, spec.grid, spec.variant
+    qf = assemble_quadform(spec)
     if isinstance(var, StochLQR):
-        return None, var.X_i, var.W
-    if isinstance(var, (BoundedReal, PositiveReal)):
-        return np.zeros(spec.sys.n), None, None
-    raise ValueError(f"unknown variant {type(var).__name__}")
+        dual = dual_objective(lam, X_i=var.X_i, W=var.W)
+        sigma = stochastic_covariance(sys, gain, var.W, var.X_i, grid)
+        desc = descriptor_residual(sigma, sys, W=var.W)
+    else:
+        x_i = var.x_i if isinstance(var, (LQR, GeneralIQC)) else np.zeros(sys.n)
+        dual = dual_objective(lam, x_i=x_i)
+        x, u = closed_loop_simulate(sys, gain, x_i, grid)
+        sigma = deterministic_covariance(x, u, grid)
+        desc = descriptor_residual(sigma, sys)
+    primal = primal_objective(sigma, qf)
+    align = alignment_residual(sigma, lam, sys, cost, qf)
+    feas = feasibility(lam, sys, qf, tol=tol, lambda_dot_mode="dre")
+    return dual, sigma, desc, primal, align, feas
 
 
 def _certify_finite(spec: ProblemSpec, cost: CostData, dre: DreSolution,
@@ -161,23 +176,9 @@ def _certify_finite(spec: ProblemSpec, cost: CostData, dre: DreSolution,
                     sign_check: bool = False) -> Certificate:
     sys, grid = spec.sys, spec.grid
     lam = dre.lam
-    qf = assemble_quadform(spec)
     gain = gain_from_dual(lam, sys, cost)
-    x_i, X_i, W = _payload(spec)
-
-    if x_i is not None:
-        dual = dual_objective(lam, x_i=x_i)
-        x, u = closed_loop_simulate(sys, gain, x_i, grid)
-        sigma = deterministic_covariance(x, u, grid)
-        desc = descriptor_residual(sigma, sys)
-    else:
-        dual = dual_objective(lam, X_i=X_i, W=W)
-        sigma = stochastic_covariance(sys, gain, W, X_i, grid)
-        desc = descriptor_residual(sigma, sys, W=W)
-
-    primal = primal_objective(sigma, qf)
-    align = alignment_residual(sigma, lam, sys, cost, qf)
-    feas = feasibility(lam, sys, qf, tol=tol, lambda_dot_mode="dre")
+    dual, _, desc, primal, align, feas = _primal_side(spec, cost, lam, gain,
+                                                      tol)
     rank_ok = bool((feas.rank_trace == sys.m).all())
 
     lam_max = None
@@ -204,8 +205,38 @@ def _certify_finite(spec: ProblemSpec, cost: CostData, dre: DreSolution,
     )
 
 
-def _escape_certificate(spec: ProblemSpec, dre: DreSolution, tag: str,
-                        verdict: Optional[bool] = None) -> Certificate:
+# variant -> (certificate tag, what a finite escape of the Riccati flow
+# means): "raise" where the hypotheses rule escape out, "minus_infinity"
+# for an unbounded infimum, "verdict" for a failed gain or passivity test
+_ESCAPE_POLICY = {
+    LQR: ("lqr", "raise"),
+    StochLQR: ("stoch_lqr", "raise"),
+    GeneralIQC: ("general_iqc", "minus_infinity"),
+    BoundedReal: ("bounded_real", "verdict"),
+    PositiveReal: ("positive_real", "verdict"),
+}
+
+
+def analyze(spec: ProblemSpec, tol: float = 1e-9,
+            escape_cap: float = ESCAPE_CAP) -> Certificate:
+    """The one analyzer route: validate, solve the backward Riccati flow
+    from a zero final value, then certify a bounded flow or apply the
+    variant's escape policy. Verdict variants (bounded and positive real)
+    carry verdict True or False and check the dual sign."""
+    validate(spec)
+    cost = effective_cost(spec)
+    dre = solve_dre_final(spec.sys, cost, np.zeros((spec.sys.n, spec.sys.n)),
+                          spec.grid, escape_cap=escape_cap)
+    tag, policy = _ESCAPE_POLICY[type(spec.variant)]
+    judged = policy == "verdict"
+    if not dre.escaped:
+        return _certify_finite(spec, cost, dre, tag, tol,
+                               verdict=True if judged else None,
+                               sign_check=judged)
+    if policy == "raise":
+        raise EscapeUnexpected(
+            f"Riccati flow escaped at t={dre.escape_time:.6g} although the "
+            "regulator hypotheses exclude escape; check the cost signs")
     return Certificate(
         variant=tag,
         optimal_value=None,
@@ -221,7 +252,7 @@ def _escape_certificate(spec: ProblemSpec, dre: DreSolution, tag: str,
         primal_value=None,
         descriptor_residual=float("nan"),
         lam=dre.lam,
-        verdict=verdict,
+        verdict=False if judged else None,
     )
 
 
@@ -230,30 +261,14 @@ def solve_lqr(spec: ProblemSpec, tol: float = 1e-9,
     """Deterministic regulator: optimal value x_i^T Lam(0) x_i with the
     feedback gain that attains it; the data's sign hypotheses make escape
     impossible, so escape is reported as a hard error."""
-    validate(spec)
-    cost = effective_cost(spec)
-    dre = solve_dre_final(spec.sys, cost, np.zeros((spec.sys.n, spec.sys.n)),
-                          spec.grid, escape_cap=escape_cap)
-    if dre.escaped:
-        raise EscapeUnexpected(
-            f"Riccati flow escaped at t={dre.escape_time:.6g} although the "
-            "regulator hypotheses exclude escape; check the cost signs")
-    return _certify_finite(spec, cost, dre, "lqr", tol)
+    return analyze(spec, tol, escape_cap)
 
 
 def solve_stoch_lqr(spec: ProblemSpec, tol: float = 1e-9,
                     escape_cap: float = ESCAPE_CAP) -> Certificate:
     """Stochastic regulator: value tr(Lam(0) X_i) + integral of tr(Lam W);
     the gain equals the deterministic one (it never depends on X_i or W)."""
-    validate(spec)
-    cost = effective_cost(spec)
-    dre = solve_dre_final(spec.sys, cost, np.zeros((spec.sys.n, spec.sys.n)),
-                          spec.grid, escape_cap=escape_cap)
-    if dre.escaped:
-        raise EscapeUnexpected(
-            f"Riccati flow escaped at t={dre.escape_time:.6g} although the "
-            "regulator hypotheses exclude escape; check the cost signs")
-    return _certify_finite(spec, cost, dre, "stoch_lqr", tol)
+    return analyze(spec, tol, escape_cap)
 
 
 def iqc_infimum(spec: ProblemSpec, tol: float = 1e-9,
@@ -261,13 +276,7 @@ def iqc_infimum(spec: ProblemSpec, tol: float = 1e-9,
     """Infimum of a sign-indefinite quadratic form over the trajectories:
     finite (with certificate) when the Riccati flow stays bounded, minus
     infinity (with the escape time) when it does not."""
-    validate(spec)
-    cost = effective_cost(spec)
-    dre = solve_dre_final(spec.sys, cost, np.zeros((spec.sys.n, spec.sys.n)),
-                          spec.grid, escape_cap=escape_cap)
-    if dre.escaped:
-        return _escape_certificate(spec, dre, "general_iqc")
-    return _certify_finite(spec, cost, dre, "general_iqc", tol)
+    return analyze(spec, tol, escape_cap)
 
 
 def bounded_real_test(sys: StateSpace, gamma: float, T: float,
@@ -276,17 +285,9 @@ def bounded_real_test(sys: StateSpace, gamma: float, T: float,
     associated Riccati flow stays bounded on the horizon. Returns
     (verdict, Certificate); a bounded dual trajectory is also checked to be
     negative semidefinite."""
-    spec = ProblemSpec(sys=sys, grid=TimeGrid(T=T, steps=steps),
-                       variant=BoundedReal(gamma=gamma))
-    validate(spec)
-    cost = effective_cost(spec)
-    dre = solve_dre_final(sys, cost, np.zeros((sys.n, sys.n)), spec.grid)
-    if dre.escaped:
-        return False, _escape_certificate(spec, dre, "bounded_real",
-                                          verdict=False)
-    cert = _certify_finite(spec, cost, dre, "bounded_real", tol,
-                           verdict=True, sign_check=True)
-    return True, cert
+    cert = analyze(ProblemSpec(sys=sys, grid=TimeGrid(T=T, steps=steps),
+                               variant=BoundedReal(gamma=gamma)), tol)
+    return cert.verdict, cert
 
 
 def hinf_norm_bisection(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
@@ -341,9 +342,10 @@ def hinf_norm_bisection(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
 
 
 def passivity_test(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
-                   tol: float = 1e-9):
+                   tol: float = 1e-9, escape_cap: float = ESCAPE_CAP):
     """Finite-horizon passivity of the input/output inner product: holds iff
-    the Riccati flow of the half-sum quadratic form stays bounded."""
+    the Riccati flow of the half-sum quadratic form stays bounded. Returns
+    (verdict, Certificate)."""
     d = sys.D if sys.D.ndim == 2 else sys.D[0]
     ds = d + d.T
     # a non-finite D is left to validate, which rejects it as NonFinite
@@ -352,17 +354,9 @@ def passivity_test(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
         raise DNotStrictlyPassive(
             "D + D^T must be strictly positive definite for the "
             "finite-horizon passivity test")
-    spec = ProblemSpec(sys=sys, grid=TimeGrid(T=T, steps=steps),
-                       variant=PositiveReal())
-    validate(spec)
-    cost = effective_cost(spec)
-    dre = solve_dre_final(sys, cost, np.zeros((sys.n, sys.n)), spec.grid)
-    if dre.escaped:
-        return False, _escape_certificate(spec, dre, "positive_real",
-                                          verdict=False)
-    cert = _certify_finite(spec, cost, dre, "positive_real", tol,
-                           verdict=True, sign_check=True)
-    return True, cert
+    cert = analyze(ProblemSpec(sys=sys, grid=TimeGrid(T=T, steps=steps),
+                               variant=PositiveReal()), tol, escape_cap)
+    return cert.verdict, cert
 
 
 def scalar_preset(q_sign: int, m_sign: int, T: float = 2.0,
@@ -393,6 +387,8 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
     with seed+i bitwise. Per-sample residual sweeps are skipped here (the
     cloud's contract is the ordering, not integration accuracy).
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     sys, grid = spec.sys, spec.grid
     cost = effective_cost(spec)
     n = sys.n
@@ -412,8 +408,7 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
 
     samples: List[DriSample] = []
     node_interval = np.append(step_to_interval, step_to_interval[-1])
-    dre_valid = dre.lam.valid_mask()
-    worst = math.inf
+    margins = []
     for i in range(n_samples):
         lam_traj = MatTrajectory(grid, values[i + 1], meta=f"dri-{i}")
         forcing_traj = MatTrajectory(grid, hvals[i + 1][node_interval],
@@ -426,17 +421,11 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
             escape_time=float(escape_time[i + 1]) if esc else None,
             residual_max=float("nan"),
         ))
-        shared = dre_valid & lam_traj.valid_mask()
-        if shared.any():
-            diff = dre.lam.values[shared] - lam_traj.values[shared]
-            diff = 0.5 * (diff + diff.transpose(0, 2, 1))
-            margin = float(np.linalg.eigvalsh(diff)[:, 0].min())
-            worst = min(worst, margin)
-    maximal = True
-    if worst is not math.inf:
-        maximal = worst >= -tol
-    else:
-        worst = None
+        order = loewner_compare(dre.lam, lam_traj, tol)
+        if order.shared_nodes:
+            margins.append(order.margin_ab)
+    worst = min(margins) if margins else None
+    maximal = worst is None or worst >= -tol
 
     return DriCloudReport(
         dre=dre,
@@ -493,24 +482,10 @@ def verify_solution(spec: ProblemSpec, certificate: Certificate,
         return VerificationReport(False, checks, grid2, notes=notes)
 
     lam2 = dre2.lam
-    qf2 = assemble_quadform(spec2)
     gain2 = Gain(grid2, coeff_on(certificate.gain.K, grid2.times(),
                                  certificate.gain.grid))
-    x_i, X_i, W = _payload(spec2)
-    dual2 = (dual_objective(lam2, x_i=x_i) if x_i is not None
-             else dual_objective(lam2, X_i=X_i, W=W))
-
-    if x_i is not None:
-        x, u = closed_loop_simulate(sys, gain2, x_i, grid2)
-        sigma2 = deterministic_covariance(x, u, grid2)
-        desc = descriptor_residual(sigma2, sys)
-    else:
-        sigma2 = stochastic_covariance(sys, gain2, W, X_i, grid2)
-        desc = descriptor_residual(sigma2, sys, W=W)
-    primal2 = primal_objective(sigma2, qf2)
-    align2 = alignment_residual(sigma2, lam2, sys, cost, qf2)
-
-    feas = feasibility(lam2, sys, qf2, tol=tol, lambda_dot_mode="dre")
+    dual2, sigma2, desc, primal2, align2, feas = _primal_side(
+        spec2, cost, lam2, gain2, tol)
     check("dual_feasible", -float(feas.min_eig.min()), tol,
           ok=feas.psd_ok and feas.boundary_ok)
     check("rank_minimal", float(np.max(np.abs(feas.rank_trace - sys.m))), 0.0)

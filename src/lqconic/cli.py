@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._num import as_matrix
 from .analyzers import (BracketFailure, Certificate, DNotStrictlyPassive,
                         EscapeUnexpected, dri_cloud, hinf_norm_bisection,
                         iqc_infimum, passivity_test, solve_lqr,
@@ -106,11 +107,9 @@ def _matrix(doc, key, path, required=True):
             raise DocumentError(f"{path}.{key}", "missing required matrix")
         return None
     try:
-        arr = np.asarray(val, dtype=float)
+        arr = as_matrix(val)
     except (TypeError, ValueError) as e:
         raise DocumentError(f"{path}.{key}", f"not a numeric array: {e}") from e
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
     if arr.ndim not in (1, 2, 3):
         raise DocumentError(f"{path}.{key}",
                             f"expected 1-, 2- or 3-dimensional array, "
@@ -197,8 +196,7 @@ def parse_problem(doc, steps_override=None, T_override=None):
         "tol": _num(opts_doc, "tol", "options", required=False, default=1e-9),
         "escape_cap": _num(opts_doc, "escape_cap", "options",
                            required=False, default=ESCAPE_CAP),
-        "seed": int(_num(opts_doc, "seed", "options",
-                         required=False, default=0)),
+        "seed": _num(opts_doc, "seed", "options", required=False, default=0),
     }
     # the schema requires both positive; a cap at or below zero would make
     # every solve escape, a verdict on any data
@@ -206,6 +204,11 @@ def parse_problem(doc, steps_override=None, T_override=None):
         if not options[key] > 0:
             raise DocumentError(f"options.{key}",
                                 f"must be positive, got {options[key]!r}")
+    # the schema's integer >= 0; a fractional seed must not be truncated
+    if not (options["seed"].is_integer() and options["seed"] >= 0):
+        raise DocumentError("options.seed", "must be a nonnegative integer, "
+                                            f"got {opts_doc['seed']!r}")
+    options["seed"] = int(options["seed"])
     return ProblemSpec(sys=sys_obj, grid=grid, variant=variant), options
 
 
@@ -236,15 +239,22 @@ def _gain_payload(gain):
     }
 
 
+def _header(kind: str, problem_hash: str, grid: TimeGrid) -> dict:
+    """Fields every result document starts with."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "tool": {"name": "lqconic", "version": __version__},
+        "problem_sha256": problem_hash,
+        "grid": {"T": grid.T, "steps": grid.steps},
+    }
+
+
 def certificate_document(cert: Certificate, problem_hash: str,
                          timing: float) -> dict:
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "certificate",
-        "tool": {"name": "lqconic", "version": __version__},
-        "problem_sha256": problem_hash,
+        **_header("certificate", problem_hash, cert.grid),
         "variant": cert.variant,
-        "grid": {"T": cert.grid.T, "steps": cert.grid.steps},
         "optimal_value": _json_num(cert.optimal_value),
         "minus_infinity": bool(cert.minus_infinity),
         "escape_time": _json_num(cert.escape_time),
@@ -319,56 +329,69 @@ def _export_certificate_csvs(cert: Certificate, csv_dir):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_analyzer(args, runner, expected_type, tag):
+def _load_problem(args, expected, wrong: str):
+    """Load and parse a subcommand's problem document and check that its
+    variant is one of ``expected`` (``wrong`` is the error text, with
+    {got} for the variant found). --tol, where the subcommand has it,
+    overrides options["tol"]. Returns (document, ProblemSpec, options)."""
     doc = _load_json(args.problem)
     spec, options = parse_problem(doc, steps_override=args.steps,
-                                  T_override=getattr(args, "T", None))
-    if not isinstance(spec.variant, expected_type):
-        raise DocumentError(
-            "variant.type",
-            f"subcommand {tag!r} needs a {tag!r} problem, got "
-            f"{type(spec.variant).__name__}")
-    tol = args.tol if args.tol is not None else options["tol"]
+                                  T_override=args.T)
+    if not isinstance(spec.variant, expected):
+        raise DocumentError("variant.type", wrong.format(
+            got=type(spec.variant).__name__))
+    if getattr(args, "tol", None) is not None:
+        options["tol"] = args.tol
+    return doc, spec, options
+
+
+# certificate subcommand -> (help, problem variant, mismatch error, run);
+# run looks its analyzer up by module-level name when called, so a
+# rebinding of that name (a tracer's wrapper, a test's spy) takes effect
+_CERTIFICATE_COMMANDS = {
+    "lqr": ("deterministic regulator optimum", LQR,
+            "subcommand 'lqr' needs a 'lqr' problem, got {got}",
+            lambda spec, **kw: solve_lqr(spec, **kw)),
+    "slqr": ("stochastic regulator optimum", StochLQR,
+             "subcommand 'stoch_lqr' needs a 'stoch_lqr' problem, got {got}",
+             lambda spec, **kw: solve_stoch_lqr(spec, **kw)),
+    "iqc": ("sign-indefinite quadratic infimum", GeneralIQC,
+            "subcommand 'general_iqc' needs a 'general_iqc' problem, "
+            "got {got}",
+            lambda spec, **kw: iqc_infimum(spec, **kw)),
+    "passivity": ("finite-horizon passivity test", PositiveReal,
+                  "subcommand 'passivity' needs a positive_real problem",
+                  lambda spec, **kw: passivity_test(
+                      spec.sys, spec.grid.T, steps=spec.grid.steps, **kw)[1]),
+}
+
+
+def cmd_certificate(args):
+    """Run a certificate subcommand: exit 3 on a failed verdict, 2 on a
+    minus-infinity value, 0 otherwise."""
+    _, expected, wrong, run = _CERTIFICATE_COMMANDS[args.command]
+    doc, spec, options = _load_problem(args, expected, wrong)
     t0 = time.perf_counter()
-    cert = runner(spec, tol=tol, escape_cap=options["escape_cap"])
+    cert = run(spec, tol=options["tol"], escape_cap=options["escape_cap"])
     timing = time.perf_counter() - t0
     result = certificate_document(cert, problem_sha256(doc), timing)
     _emit(result, args.out)
     if args.csv_dir:
         _export_certificate_csvs(cert, args.csv_dir)
+    if cert.verdict is False:
+        return EXIT_NOT_PASSIVE
     return EXIT_MINUS_INFINITY if cert.minus_infinity else EXIT_OK
 
 
-def cmd_lqr(args):
-    return _cmd_analyzer(args, solve_lqr, LQR, "lqr")
-
-
-def cmd_slqr(args):
-    return _cmd_analyzer(args, solve_stoch_lqr, StochLQR, "stoch_lqr")
-
-
-def cmd_iqc(args):
-    return _cmd_analyzer(args, iqc_infimum, GeneralIQC, "general_iqc")
-
-
 def cmd_hinf(args):
-    doc = _load_json(args.problem)
-    spec, options = parse_problem(doc, steps_override=args.steps,
-                                  T_override=args.T)
-    if not isinstance(spec.variant, BoundedReal):
-        raise DocumentError("variant.type",
-                            "subcommand 'hinf' needs a bounded_real problem")
-    tol = args.tol if args.tol is not None else options["tol"]
+    doc, spec, options = _load_problem(
+        args, BoundedReal, "subcommand 'hinf' needs a bounded_real problem")
     t0 = time.perf_counter()
     res = hinf_norm_bisection(spec.sys, spec.grid.T, steps=spec.grid.steps,
-                              tol=tol)
+                              tol=options["tol"])
     timing = time.perf_counter() - t0
     _emit({
-        "schema_version": SCHEMA_VERSION,
-        "kind": "norm_result",
-        "tool": {"name": "lqconic", "version": __version__},
-        "problem_sha256": problem_sha256(doc),
-        "grid": {"T": spec.grid.T, "steps": spec.grid.steps},
+        **_header("norm_result", problem_sha256(doc), spec.grid),
         "gamma_star": res.gamma_star,
         "iterations": res.iterations,
         "bracket": [res.bracket[0], res.bracket[1]],
@@ -377,33 +400,10 @@ def cmd_hinf(args):
     return EXIT_OK
 
 
-def cmd_passivity(args):
-    doc = _load_json(args.problem)
-    spec, options = parse_problem(doc, steps_override=args.steps,
-                                  T_override=args.T)
-    if not isinstance(spec.variant, PositiveReal):
-        raise DocumentError("variant.type",
-                            "subcommand 'passivity' needs a positive_real problem")
-    tol = args.tol if args.tol is not None else options["tol"]
-    t0 = time.perf_counter()
-    passive, cert = passivity_test(spec.sys, spec.grid.T,
-                                   steps=spec.grid.steps, tol=tol)
-    timing = time.perf_counter() - t0
-    result = certificate_document(cert, problem_sha256(doc), timing)
-    _emit(result, args.out)
-    if args.csv_dir:
-        _export_certificate_csvs(cert, args.csv_dir)
-    return EXIT_OK if passive else EXIT_NOT_PASSIVE
-
-
 def cmd_dri_cloud(args):
-    doc = _load_json(args.problem)
-    spec, options = parse_problem(doc, steps_override=args.steps,
-                                  T_override=getattr(args, "T", None))
-    if not isinstance(spec.variant, (LQR, GeneralIQC)):
-        raise DocumentError("variant.type",
-                            "dri-cloud needs a cost-bearing (lqr or "
-                            "general_iqc) problem")
+    doc, spec, options = _load_problem(
+        args, (LQR, GeneralIQC),
+        "dri-cloud needs a cost-bearing (lqr or general_iqc) problem")
     seed = args.seed if args.seed is not None else options["seed"]
     report = dri_cloud(spec, n_samples=args.samples, switch_points=10,
                        seed=seed, escape_cap=options["escape_cap"])
@@ -415,11 +415,7 @@ def cmd_dri_cloud(args):
         write_trajectory_csv(csv_dir / f"sample_{i:03d}.csv", sample.lam)
 
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "dri_cloud_summary",
-        "tool": {"name": "lqconic", "version": __version__},
-        "problem_sha256": problem_sha256(doc),
-        "grid": {"T": spec.grid.T, "steps": spec.grid.steps},
+        **_header("dri_cloud_summary", problem_sha256(doc), spec.grid),
         "n_samples": len(report.samples),
         "switch_points": report.switch_points,
         "seed": report.seed,
@@ -492,13 +488,14 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p, csv_dir=True):
+def _add_common(p, csv_dir=True, tol=True):
     p.add_argument("problem", help="path to a problem JSON document")
     p.add_argument("--out", default=None, help="result path (default stdout)")
     p.add_argument("--steps", type=int, default=None,
                    help="override grid steps (default document or 512)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance (default document options or 1e-9)")
+    if tol:
+        p.add_argument("--tol", type=float, default=None,
+                       help="tolerance (default document options or 1e-9)")
     p.add_argument("--T", type=float, default=None,
                    help="override horizon length")
     if csv_dir:
@@ -515,29 +512,18 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"lqconic {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lqr", help="deterministic regulator optimum")
-    _add_common(p)
-    p.set_defaults(func=cmd_lqr)
-
-    p = sub.add_parser("slqr", help="stochastic regulator optimum")
-    _add_common(p)
-    p.set_defaults(func=cmd_slqr)
-
-    p = sub.add_parser("iqc", help="sign-indefinite quadratic infimum")
-    _add_common(p)
-    p.set_defaults(func=cmd_iqc)
+    for name, (summary, *_) in _CERTIFICATE_COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        _add_common(p)
+        p.set_defaults(func=cmd_certificate)
 
     p = sub.add_parser("hinf", help="finite-horizon induced-norm bisection")
     _add_common(p, csv_dir=False)
     p.set_defaults(func=cmd_hinf)
 
-    p = sub.add_parser("passivity", help="finite-horizon passivity test")
-    _add_common(p)
-    p.set_defaults(func=cmd_passivity)
-
     p = sub.add_parser("dri-cloud",
                        help="forced-inequality solution cloud experiment")
-    _add_common(p, csv_dir=False)
+    _add_common(p, csv_dir=False, tol=False)
     p.add_argument("--samples", type=int, default=100,
                    help="number of forced samples (default 100)")
     p.add_argument("--seed", type=int, default=None,
@@ -558,21 +544,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which the contract reads as
+        # "the infimum is minus infinity"; --help and --version exit 0
+        if e.code != 2:
+            raise
+        return EXIT_INPUT
     try:
         return args.func(args)
-    except DocumentError as e:
+    except (DocumentError, EscapeUnexpected, DNotStrictlyPassive,
+            BracketFailure, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ValidationError as e:
         for v in e.violations:
             print(f"error: {v}", file=sys.stderr)
-        return EXIT_INPUT
-    except (EscapeUnexpected, DNotStrictlyPassive, BracketFailure) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, KeyError, TypeError) as e:
         print(f"error: malformed input: {e}", file=sys.stderr)

@@ -11,7 +11,8 @@ and is aligned (trace-orthogonal) with the dual's residual matrix.
 Per-node work (gain solves, covariance assembly, quadratures, residuals,
 and the closed-loop coefficients at the RK4 stage times) is done with numpy
 over the node axis, in fixed blocks of NODE_BLOCK nodes so that peak memory
-stays bounded; only the RK4 recurrences themselves step node by node.
+stays bounded. The forward propagations step node by node through the one
+RK4 stepper of `_num`, reading those block tables.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import fd_derivative, node_blocks, trapz
-from .dlmi import _assemble_on
+from ._num import as_matrix, fd_derivative, node_blocks, propagate, trapz
+from .dlmi import _assemble_on, _lambda_dot
 from .model import (CostData, QuadForm, StateSpace, TimeGrid, coeff_at,
                     coeff_on)
-from .riccati import MatTrajectory, _ric_rhs, _RicFlow, _row
+from .riccati import MatTrajectory
 from .symmat import sym_factor
 
 __all__ = [
@@ -110,17 +111,18 @@ def gain_from_dual(lambda_bar: MatTrajectory, sys: StateSpace,
     return Gain(grid, kvals)
 
 
-def _closed_loop_stages(sys: StateSpace, gain: Gain, grid: TimeGrid,
-                        t: np.ndarray, W=None):
-    """(A - B K, W) at the RK4 stage times t, t + h/2 and t + h of a block
-    of forward steps; W is None, one matrix, or one per step."""
-    h = grid.h
-    out = []
-    for s in (t, t + 0.5 * h, t + h):
-        a, b = coeff_on(sys.A, s, grid), coeff_on(sys.B, s, grid)
-        fcl = a - b @ coeff_on(gain.K, s, gain.grid)
-        out.append((fcl, None if W is None else coeff_on(W, s, grid)))
-    return out
+def _closed_loop_tables(sys: StateSpace, gain: Gain, grid: TimeGrid, W=None):
+    """Stage tables for propagate: (A - B K,) or, with a noise intensity W
+    (one matrix or one per node), (A - B K, W) at the RK4 stage times."""
+    def tables(t, dt):
+        out = []
+        for s in (t, t + 0.5 * dt, t + dt):
+            a, b = coeff_on(sys.A, s, grid), coeff_on(sys.B, s, grid)
+            fcl = a - b @ coeff_on(gain.K, s, gain.grid)
+            out.append((fcl,) if W is None else (fcl, coeff_on(W, s, grid)))
+        return out
+
+    return tables
 
 
 def closed_loop_simulate(sys: StateSpace, gain: Gain, x_i,
@@ -130,22 +132,8 @@ def closed_loop_simulate(sys: StateSpace, gain: Gain, x_i,
     x0 = np.asarray(x_i, dtype=float).reshape(-1)
     if x0.size != sys.n:
         raise ValueError(f"initial state has {x0.size} entries, expected {sys.n}")
-    h = grid.h
-    times = grid.times()
-    x = np.empty((grid.steps + 1, sys.n))
-    x[0] = x0
-
-    for block in node_blocks(grid.steps):
-        (f1, _), (f2, _), (f4, _) = _closed_loop_stages(sys, gain, grid,
-                                                        times[block])
-        for j, k in enumerate(range(block.start, block.stop)):
-            y = x[k]
-            k1 = f1[j] @ y
-            k2 = f2[j] @ (y + 0.5 * h * k1)
-            k3 = f2[j] @ (y + 0.5 * h * k2)
-            k4 = f4[j] @ (y + h * k3)
-            x[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    x = propagate(lambda d, y: d[0] @ y, _closed_loop_tables(sys, gain, grid),
+                  x0, grid)
     u = (-gain.K @ x[:, :, None])[:, :, 0]
     return x, u
 
@@ -175,30 +163,15 @@ def stochastic_covariance(sys: StateSpace, gain: Gain, W, X_i,
     S_uu = K S K^T, so the full matrix is [I; -K] S [I; -K]^T and stays PSD.
     """
     n, m = sys.n, gain.m
-    w = np.asarray(W, dtype=float)
-    if w.ndim == 0:
-        w = w.reshape(1, 1)
+    w = as_matrix(W)
     xi = np.asarray(X_i, dtype=float).reshape(n, n)
-    h = grid.h
-    times = grid.times()
 
-    def f(fcl, wk, s):
+    def rhs(d, s):
+        fcl, wk = d
         return fcl @ s + s @ fcl.T + wk
 
-    sxx = np.empty((grid.steps + 1, n, n))
-    sxx[0] = 0.5 * (xi + xi.T)
-    for block in node_blocks(grid.steps):
-        stages = _closed_loop_stages(sys, gain, grid, times[block], w)
-        for j, k in enumerate(range(block.start, block.stop)):
-            (f1, w1), (f2, w2), (f4, w4) = [_row(st, j) for st in stages]
-            y = sxx[k]
-            k1 = f(f1, w1, y)
-            k2 = f(f2, w2, y + 0.5 * h * k1)
-            k3 = f(f2, w2, y + 0.5 * h * k2)
-            k4 = f(f4, w4, y + h * k3)
-            nxt = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            sxx[k + 1] = 0.5 * (nxt + nxt.T)
-
+    sxx = propagate(rhs, _closed_loop_tables(sys, gain, grid, w),
+                    0.5 * (xi + xi.T), grid, sym=True)
     values = np.empty((grid.steps + 1, n + m, n + m))
     for block in node_blocks(grid.steps + 1):
         kk, s = gain.K[block], sxx[block]
@@ -212,8 +185,8 @@ def stochastic_covariance(sys: StateSpace, gain: Gain, W, X_i,
 
 
 def primal_objective(sigma: CovTrajectory, quadform: QuadForm) -> float:
-    """Trapezoidal quadrature of the trace pairing of the stacked cost with
-    the covariance trajectory."""
+    """End-corrected trapezoid quadrature (`_num.trapz`) of the trace
+    pairing of the stacked cost with the covariance trajectory."""
     traj = sigma.sigma
     if quadform.grid != traj.grid:
         raise ValueError("covariance and quadratic form use different grids")
@@ -238,9 +211,7 @@ def descriptor_residual(sigma: CovTrajectory, sys: StateSpace,
     sdot = fd_derivative(traj.values, grid.h)
     w = None
     if W is not None:
-        w = np.asarray(W, dtype=float)
-        if w.ndim == 0:
-            w = w.reshape(1, 1)
+        w = as_matrix(W)
     times = grid.times()
     worst = 0.0
     for block in node_blocks(grid.steps - 1):
@@ -261,8 +232,8 @@ def descriptor_residual(sigma: CovTrajectory, sys: StateSpace,
 def alignment_residual(sigma: CovTrajectory, lambda_bar: MatTrajectory,
                        sys: StateSpace, cost: CostData, quadform: QuadForm,
                        lambda_dot_mode: str = "dre") -> float:
-    """Trapezoidal quadrature of the trace pairing between the dual residual
-    matrix M(Lam) and the primal covariance.
+    """End-corrected trapezoid quadrature (`_num.trapz`) of the trace
+    pairing between the dual residual matrix M(Lam) and the primal covariance.
 
     With the Riccati-substituted derivative (mode "dre") M(Lam) is exactly
     PSD along the extremal, so the integrand is nonnegative and the value
@@ -272,20 +243,13 @@ def alignment_residual(sigma: CovTrajectory, lambda_bar: MatTrajectory,
     grid = traj.grid
     if lambda_bar.grid != grid or quadform.grid != grid:
         raise ValueError("primal, dual, and cost grids must agree")
-    if lambda_dot_mode == "fd":
-        fd = fd_derivative(lambda_bar.values, grid.h)
-    elif lambda_dot_mode == "dre":
-        flow = _RicFlow(sys, cost, grid)
-    else:
-        raise ValueError(f"unknown lambda_dot_mode {lambda_dot_mode!r}")
-
+    lam_dot = _lambda_dot(lambda_bar.values, sys, cost, grid, lambda_dot_mode)
     times = grid.times()
     vals = np.empty(times.size)
     for block in node_blocks(times.size):
-        t, lam = times[block], lambda_bar.values[block]
-        ld = (fd[block] if lambda_dot_mode == "fd"
-              else _ric_rhs(flow.table(t), lam))
-        m = _assemble_on(lam, ld, sys, quadform, t)
+        t = times[block]
+        m = _assemble_on(lambda_bar.values[block], lam_dot(block, t), sys,
+                         quadform, t)
         vals[block] = np.sum(m * traj.values[block], axis=(1, 2))
     return trapz(vals, grid.h)
 
@@ -298,9 +262,7 @@ def extract_rank_one_factor(sigma_sample, tol: float = 1e-9,
     previous node's factor is supplied, in which case the sign matching that
     neighbor is kept (continuity across a trajectory).
     """
-    s = np.asarray(getattr(sigma_sample, "mat", sigma_sample), dtype=float)
-    if s.ndim == 0:
-        s = s.reshape(1, 1)
+    s = as_matrix(getattr(sigma_sample, "mat", sigma_sample))
     s = 0.5 * (s + s.T)
     w, v = np.linalg.eigh(s)
     scale = tol * max(1.0, float(np.abs(w).max()))
@@ -349,9 +311,7 @@ def monte_carlo_cost(sys: StateSpace, gain: Gain, cost: CostData, W, X_i,
     else:
         x = np.zeros((n, n_paths))
 
-    w = np.asarray(W, dtype=float)
-    if w.ndim == 0:
-        w = w.reshape(1, 1)
+    w = as_matrix(W)
     const_noise = w.ndim == 2
     fw = sym_factor(w) if const_noise else None
 

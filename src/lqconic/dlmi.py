@@ -25,7 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ._num import fd_derivative, node_blocks, trapz
+from ._num import as_matrix, fd_derivative, node_blocks, trapz
 from .model import CostData, QuadForm, StateSpace, coeff_at, coeff_on
 from .riccati import MatTrajectory, _ric_data, _ric_rhs, _RicFlow
 from .symmat import M22NotPDError, SymFactor, SymMat
@@ -94,15 +94,24 @@ def _assemble_on(lam: np.ndarray, lam_dot: np.ndarray, sys: StateSpace,
                          coeff_on(quadform.Qmat, times, g))
 
 
+def _lambda_dot(values: np.ndarray, sys: StateSpace, cost: CostData, grid,
+                mode: str):
+    """dLam/dt of node samples as a function of (node block, block times):
+    centered differences ("fd") or the Riccati right-hand side of the cost
+    ("dre")."""
+    if mode == "fd":
+        fd = fd_derivative(values, grid.h)
+        return lambda block, t: fd[block]
+    if mode == "dre":
+        flow = _RicFlow(sys, cost, grid)
+        return lambda block, t: _ric_rhs(flow.table(t), values[block])
+    raise ValueError(f"unknown lambda_dot_mode {mode!r}")
+
+
 def assemble_M(lam, lam_dot, sys: StateSpace, quadform: QuadForm,
                t: float) -> SymMat:
     """Evaluate M(Lam) at one time from a value and a derivative sample."""
-    lam = np.asarray(lam, dtype=float)
-    lam_dot = np.asarray(lam_dot, dtype=float)
-    if lam.ndim == 0:
-        lam = lam.reshape(1, 1)
-    if lam_dot.ndim == 0:
-        lam_dot = lam_dot.reshape(1, 1)
+    lam, lam_dot = as_matrix(lam), as_matrix(lam_dot)
     if lam.shape != (sys.n, sys.n) or lam_dot.shape != (sys.n, sys.n):
         raise ValueError(
             f"need ({sys.n}, {sys.n}) value and derivative, got "
@@ -135,24 +144,19 @@ def feasibility(lam: MatTrajectory, sys: StateSpace, quadform: QuadForm,
     if not np.isfinite(values).all():
         raise ValueError("feasibility needs a complete (non-escaped) trajectory")
 
-    if lambda_dot_mode == "fd":
-        fd = fd_derivative(values, grid.h)
-    elif lambda_dot_mode == "dre":
-        # the Riccati right-hand side of the quadratic form's own blocks
-        qm = quadform.Qmat
-        flow = _RicFlow(sys, CostData(qm[..., :n, :n], qm[..., :n, n:],
-                                      qm[..., n:, n:]), grid)
-    else:
-        raise ValueError(f"unknown lambda_dot_mode {lambda_dot_mode!r}")
+    # mode "dre" takes the Riccati right-hand side of the quadratic form's
+    # own blocks
+    qm = quadform.Qmat
+    lam_dot = _lambda_dot(values, sys, CostData(
+        qm[..., :n, :n], qm[..., :n, n:], qm[..., n:, n:]), grid,
+        lambda_dot_mode)
 
     times = grid.times()
     min_eig = np.empty(grid.steps + 1)
     rank_trace = np.empty(grid.steps + 1, dtype=int)
     for block in node_blocks(grid.steps + 1):
-        t, lam_k = times[block], values[block]
-        lam_dot = (fd[block] if lambda_dot_mode == "fd"
-                   else _ric_rhs(flow.table(t), lam_k))
-        m = _assemble_on(lam_k, lam_dot, sys, quadform, t)
+        t = times[block]
+        m = _assemble_on(values[block], lam_dot(block, t), sys, quadform, t)
         eigs = np.linalg.eigvalsh(m)
         min_eig[block] = eigs[:, 0]
         cut = tol * np.maximum(1.0, np.abs(eigs).max(axis=1))
@@ -226,9 +230,7 @@ def extremal_factorization(lambda_bar, sys: StateSpace, cost, t: float,
     right-hand side; a mismatch means the identity would fail, reported as
     ResidualTooLarge.
     """
-    lam = np.asarray(lambda_bar, dtype=float)
-    if lam.ndim == 0:
-        lam = lam.reshape(1, 1)
+    lam = as_matrix(lambda_bar)
     if lam.shape != (sys.n, sys.n):
         raise ValueError(f"value has shape {lam.shape}, expected ({sys.n}, {sys.n})")
 
@@ -273,7 +275,8 @@ def dual_objective(lam: MatTrajectory, x_i=None, X_i=None, W=None) -> float:
     """Value certified by a dual trajectory.
 
     Deterministic payload x_i gives x_i^T Lam(0) x_i. Stochastic payload
-    gives tr(Lam(0) X_i) plus the trapezoidal quadrature of tr(Lam(t) W(t)).
+    gives tr(Lam(0) X_i) plus the end-corrected trapezoid quadrature of
+    tr(Lam(t) W(t)).
     """
     if x_i is not None and (X_i is not None or W is not None):
         raise ValueError("pass either a deterministic x_i or stochastic X_i/W")
@@ -292,9 +295,7 @@ def dual_objective(lam: MatTrajectory, x_i=None, X_i=None, W=None) -> float:
         xi = np.asarray(X_i, dtype=float).reshape(lam.n, lam.n)
         total += float(np.trace(lam0 @ xi))
     if W is not None:
-        w = np.asarray(W, dtype=float)
-        if w.ndim == 0:
-            w = w.reshape(1, 1)
+        w = as_matrix(W)
         if not np.isfinite(lam.values).all():
             raise ValueError("trajectory has invalid nodes; cannot integrate")
         times = lam.grid.times()

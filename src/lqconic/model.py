@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._num import as_matrix
 from .symmat import _as_sym
 
 __all__ = [
@@ -73,9 +74,7 @@ class TimeGrid:
 
 def _as_coeff(value, rows: int = None, cols: int = None) -> np.ndarray:
     """Coerce a constant matrix (2-D) or node-sampled matrix (3-D) array."""
-    a = np.asarray(value, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
+    a = as_matrix(value)
     if a.ndim == 1:
         raise ValueError(f"expected a matrix, got 1-D array of length {a.shape[0]}")
     if a.ndim not in (2, 3):
@@ -255,10 +254,6 @@ class ProblemSpec:
     sys: StateSpace
     grid: TimeGrid
     variant: object
-
-    @property
-    def variant_name(self) -> str:
-        return type(self.variant).__name__
 
 
 @dataclass(frozen=True)
@@ -449,14 +444,8 @@ def effective_cost(spec: ProblemSpec) -> CostData:
         return CostData(Q, N, R)
     if isinstance(var, PositiveReal):
         Q = np.zeros((sys.n, sys.n))
-        if sys.C.ndim == 2:
-            N = 0.5 * sys.C.T
-        else:
-            N = 0.5 * np.transpose(sys.C, (0, 2, 1))
-        if sys.D.ndim == 2:
-            R = 0.5 * (sys.D + sys.D.T)
-        else:
-            R = 0.5 * (sys.D + np.transpose(sys.D, (0, 2, 1)))
+        N = 0.5 * sys.C.swapaxes(-1, -2)
+        R = 0.5 * (sys.D + sys.D.swapaxes(-1, -2))
         return CostData(Q, N, R)
     raise ValidationError([Violation("variant", "UnknownVariant",
                                      f"unrecognized variant {type(var).__name__}")])

@@ -5,7 +5,7 @@ quadratic matrix flow
 
     d(Lam)/dt + A^T Lam + Lam A - (N + Lam B) R^{-1} (N + Lam B)^T + Q = H
 
-by classical fixed-step RK4 on a uniform grid. H=0 gives the Riccati
+by the fixed-step RK4 of `_num` on a uniform grid. H=0 gives the Riccati
 equation whose final-value solution is the maximal solution of the matching
 differential matrix inequality (and whose initial-value solution is the
 minimal one); H is a positive semidefinite forcing used to sample the
@@ -38,7 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import fd_derivative, node_blocks
+from ._num import (_row, as_matrix, fd_derivative, node_blocks, propagate,
+                   rk4_step)
 from .model import CostData, StateSpace, TimeGrid, coeff_at, coeff_on
 
 __all__ = [
@@ -158,11 +159,6 @@ def _ric_rhs(data, lam: np.ndarray, forcing=None) -> np.ndarray:
     return out
 
 
-def _row(data, j: int):
-    """Data at the j-th time of a table; constant entries pass through."""
-    return [d[j] if d.ndim == 3 else d for d in data]
-
-
 class _RicFlow:
     """Riccati right-hand-side data of a system and cost, tabulated on
     demand at batches of times."""
@@ -192,13 +188,9 @@ class _RicFlow:
         return tuple(self.table(s) for s in (t, t + 0.5 * dt, t + dt))
 
 
-def _rk4_step(stages, y: np.ndarray, dt: float, forcing):
-    d1, d2, d4 = stages
-    k1 = _ric_rhs(d1, y, forcing)
-    k2 = _ric_rhs(d2, y + (0.5 * dt) * k1, forcing)
-    k3 = _ric_rhs(d2, y + (0.5 * dt) * k2, forcing)
-    k4 = _ric_rhs(d4, y + dt * k3, forcing)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(stages, y: np.ndarray, dt, forcing):
+    """One RK4 step of a stack of Riccati flows, kept symmetric."""
+    out = rk4_step(lambda d, lam: _ric_rhs(d, lam, forcing), stages, y, dt)
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
@@ -414,9 +406,7 @@ def _residual_sweep(lam_values: np.ndarray, flow: _RicFlow, grid: TimeGrid,
 
 def _solve_dre(sys, cost, lam_bc, grid, direction, escape_cap, meta):
     flow = _RicFlow(sys, cost, grid)
-    lam0 = np.asarray(lam_bc, dtype=float)
-    if lam0.ndim == 0:
-        lam0 = lam0.reshape(1, 1)
+    lam0 = as_matrix(lam_bc)
     if lam0.shape != (sys.n, sys.n):
         raise ValueError(f"boundary value has shape {lam0.shape}, expected "
                          f"({sys.n}, {sys.n})")
@@ -459,9 +449,7 @@ def _sample_dri(sys, cost, lam_bc, grid, direction, switch_points, seed,
     hvals = draw_forcing(sys.n, switch_points, seed, amplitude)[None]
     bounds = switch_bounds(grid.steps, switch_points)
     lookup, step_to_interval = _node_forcing_lookup(hvals, bounds)
-    lam0 = np.asarray(lam_bc, dtype=float)
-    if lam0.ndim == 0:
-        lam0 = lam0.reshape(1, 1)
+    lam0 = as_matrix(lam_bc)
     values, escaped, escape_time = _sweep(
         flow, lam0[None], grid, direction, escape_cap, forcings=lookup)
 
@@ -522,23 +510,14 @@ class TransitionEvaluator:
 
 def transition_matrix(F, grid: TimeGrid) -> TransitionEvaluator:
     """Build a node-to-node transition-matrix evaluator by stepping the
-    matrix ODE dPhi/dt = F(t) Phi with RK4 across each grid interval."""
-    fc = np.asarray(F, dtype=float)
-    if fc.ndim == 0:
-        fc = fc.reshape(1, 1)
-    n = fc.shape[-1]
-    h = grid.h
-    times = grid.times()
-    cum = np.empty((grid.steps + 1, n, n))
-    cum[0] = np.eye(n)
-    for k in range(grid.steps):
-        t = times[k]
-        y = cum[k]
-        k1 = coeff_at(fc, t, grid) @ y
-        k2 = coeff_at(fc, t + 0.5 * h, grid) @ (y + 0.5 * h * k1)
-        k3 = coeff_at(fc, t + 0.5 * h, grid) @ (y + 0.5 * h * k2)
-        k4 = coeff_at(fc, t + h, grid) @ (y + h * k3)
-        cum[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    matrix ODE dPhi/dt = F(t) Phi with RK4 across each grid interval, F
+    tabulated at the stage times one block of steps at a time."""
+    fc = as_matrix(F)
+
+    def tables(t, dt):
+        return [(coeff_on(fc, s, grid),) for s in (t, t + 0.5 * dt, t + dt)]
+
+    cum = propagate(lambda d, y: d[0] @ y, tables, np.eye(fc.shape[-1]), grid)
     return TransitionEvaluator(grid, cum)
 
 
@@ -548,35 +527,18 @@ def solve_lyapunov_final(F, H, X_T, grid: TimeGrid) -> MatTrajectory:
     Linear flow: cannot escape on a finite horizon with bounded data. For
     X_T = 0 and H PSD the solution is PSD for all t.
     """
-    fc = np.asarray(F, dtype=float)
-    hc = np.asarray(H, dtype=float)
-    if fc.ndim == 0:
-        fc = fc.reshape(1, 1)
-    if hc.ndim == 0:
-        hc = hc.reshape(1, 1)
-    xt = np.asarray(X_T, dtype=float)
-    if xt.ndim == 0:
-        xt = xt.reshape(1, 1)
-    n = fc.shape[-1]
-    h = grid.h
-    times = grid.times()
-    values = np.empty((grid.steps + 1, n, n))
-    values[-1] = 0.5 * (xt + xt.T)
+    fc, hc, xt = as_matrix(F), as_matrix(H), as_matrix(X_T)
 
-    def rhs(t, x):
-        f = coeff_at(fc, t, grid)
-        forcing = coeff_at(hc, t, grid)
+    def tables(t, dt):
+        return [(coeff_on(fc, s, grid), coeff_on(hc, s, grid))
+                for s in (t, t + 0.5 * dt, t + dt)]
+
+    def rhs(d, x):
+        f, forcing = d
         return -(f.T @ x + x @ f + forcing)
 
-    for k in range(grid.steps, 0, -1):
-        t = times[k]
-        y = values[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t - 0.5 * h, y - 0.5 * h * k1)
-        k3 = rhs(t - 0.5 * h, y - 0.5 * h * k2)
-        k4 = rhs(t - h, y - h * k3)
-        nxt = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values[k - 1] = 0.5 * (nxt + nxt.T)
+    values = propagate(rhs, tables, 0.5 * (xt + xt.T), grid, backward=True,
+                       sym=True)
     return MatTrajectory(grid, values, meta="lyapunov-final")
 
 

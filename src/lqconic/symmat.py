@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._num import as_matrix
+
 __all__ = [
     "SymMat",
     "SymFactor",
@@ -99,9 +101,7 @@ def _as_sym(m) -> np.ndarray:
     """Coerce SymMat or array-like to a symmetric ndarray."""
     if isinstance(m, SymMat):
         return m.mat
-    a = np.asarray(m, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
+    a = as_matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return 0.5 * (a + a.T)

@@ -19,6 +19,7 @@ from lqconic import (
     EscapeUnexpected,
     GeneralIQC,
     LQR,
+    PositiveReal,
     ProblemSpec,
     StateSpace,
     StochLQR,
@@ -35,6 +36,8 @@ from lqconic import (
     verify_solution,
 )
 
+from lqconic.analyzers import analyze
+from lqconic.riccati import ESCAPE_CAP
 from oracles import convolution_norm, passivity_form_min_eig, zoh_qp_value
 
 SYS = StateSpace(A=[[0.0]], B=[[1.0]])
@@ -232,6 +235,13 @@ class TestPassivity:
             passivity_test(sys, T=1.0, steps=16)
         assert [v.code for v in e.value.violations] == ["NonFinite"]
 
+    def test_escape_cap_reaches_the_test(self):
+        # the passive example's storage stays bounded, but not below 1e-6
+        ok, cert = passivity_test(self.GOOD, T=5.0, steps=64,
+                                  escape_cap=1e-6)
+        assert not ok and cert.minus_infinity
+        assert cert.escape_time > 5.0 - 2 * 5.0 / 64
+
     def test_agrees_with_quadratic_form_oracle(self):
         for sys, T in ((self.GOOD, 5.0), (self.BAD, 10.0)):
             ok, _ = passivity_test(sys, T=T)
@@ -239,6 +249,90 @@ class TestPassivity:
                 np.asarray(sys.A), np.asarray(sys.B), np.asarray(sys.C),
                 np.asarray(sys.D), T, steps=60)
             assert ok == (min_eig >= -1e-8 * scale)
+
+
+def assert_same_certificate(a, b):
+    """Field by field, bitwise: arrays by their bytes, numbers by repr (so
+    NaN equals NaN and -0.0 differs from 0.0)."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "lam" and x is not None:
+            x, y = x.values, y.values
+        if f.name == "gain" and x is not None:
+            x, y = x.K, y.K
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert repr(x) == repr(y), f.name
+
+
+class TestAnalyzePolicy:
+    """analyze is the one route; each public analyzer is a wrapper around
+    it, and the variant decides what a finite escape means."""
+
+    BR = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+    PR_GOOD = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+    PR_BAD = StateSpace(A=[[1.0]], B=[[1.0]], C=[[-1.0]], D=[[0.2]])
+
+    def case(self, variant, escape):
+        """(problem, escape cap, the wrapper's certificate as a thunk)."""
+        grid = TimeGrid(T=1.0, steps=128)
+        if variant in ("lqr", "stoch_lqr"):
+            # the regulator flow stays below 1, so a cap of 1e-3 is crossed
+            cap = 1e-3 if escape else ESCAPE_CAP
+            if variant == "lqr":
+                spec = ProblemSpec(sys=SYS, grid=grid,
+                                   variant=LQR(cost=COST, x_i=[1.0]))
+                return spec, cap, lambda: solve_lqr(spec, escape_cap=cap)
+            spec = ProblemSpec(sys=SYS, grid=grid, variant=StochLQR(
+                cost=COST, X_i=[[1.0]], W=[[0.5]]))
+            return spec, cap, lambda: solve_stoch_lqr(spec, escape_cap=cap)
+        if variant == "general_iqc":
+            # -tan(T - t) escapes at T - pi/2 for T = 2, not for T = 0.5
+            spec = ProblemSpec(
+                sys=SYS, grid=TimeGrid(T=2.0 if escape else 0.5, steps=128),
+                variant=GeneralIQC(cost=CostData(Q=[[-1.0]], N=None,
+                                                 R=[[1.0]]), x_i=[1.0]))
+            return spec, ESCAPE_CAP, lambda: iqc_infimum(spec)
+        if variant == "bounded_real":
+            gamma = 0.5 if escape else 2.0
+            spec = ProblemSpec(sys=self.BR, grid=TimeGrid(T=10.0, steps=128),
+                               variant=BoundedReal(gamma=gamma))
+            return spec, ESCAPE_CAP, lambda: bounded_real_test(
+                self.BR, gamma, T=10.0, steps=128)[1]
+        sys = self.PR_BAD if escape else self.PR_GOOD
+        spec = ProblemSpec(sys=sys, grid=TimeGrid(T=10.0, steps=128),
+                           variant=PositiveReal())
+        return spec, ESCAPE_CAP, lambda: passivity_test(sys, T=10.0,
+                                                        steps=128)[1]
+
+    @pytest.mark.parametrize("escape", [False, True])
+    @pytest.mark.parametrize("variant,policy", [
+        ("lqr", "raise"),
+        ("stoch_lqr", "raise"),
+        ("general_iqc", "minus_infinity"),
+        ("bounded_real", "verdict"),
+        ("positive_real", "verdict"),
+    ])
+    def test_escape_policy_and_wrappers(self, variant, policy, escape):
+        spec, cap, wrapper = self.case(variant, escape)
+        if escape and policy == "raise":
+            with pytest.raises(EscapeUnexpected):
+                wrapper()
+            with pytest.raises(EscapeUnexpected):
+                analyze(spec, escape_cap=cap)
+            return
+        cert = wrapper()
+        assert_same_certificate(cert, analyze(spec, escape_cap=cap))
+        assert cert.variant == variant
+        assert cert.minus_infinity is escape
+        assert (cert.gain is None) is escape
+        assert (cert.optimal_value is None) is escape
+        if policy == "verdict":
+            assert cert.verdict is (not escape)
+            assert (cert.lam_max_eig is None) is escape
+        else:
+            assert cert.verdict is None and cert.lam_max_eig is None
 
 
 class TestScalarPreset:
@@ -257,6 +351,11 @@ class TestScalarPreset:
 
 
 class TestDriCloud:
+    def test_negative_sample_count_rejected(self):
+        # used to end in an IndexError deep in the sweep
+        with pytest.raises(ValueError, match="n_samples"):
+            dri_cloud(scalar_preset(1, 1, steps=64), n_samples=-1)
+
     def test_contractive_preset_maximal(self):
         report = dri_cloud(scalar_preset(1, 1, steps=256), n_samples=20,
                            seed=0)

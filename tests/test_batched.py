@@ -31,7 +31,8 @@ from lqconic import riccati
 from lqconic.riccati import (_batch_sigma_max, _node_forcing_lookup,
                              _residual_sweep, _RicFlow, _rk4_step, _row,
                              _sweep, draw_forcing, riccati_residual,
-                             solve_dre_final, switch_bounds)
+                             solve_dre_final, solve_lyapunov_final,
+                             switch_bounds, transition_matrix)
 
 STEPS = 2 * NODE_BLOCK + 3
 DEFAULT_ITERS = riccati.ESCAPE_REFINE_ITERS
@@ -296,6 +297,29 @@ class TestStagesMatchLoops:
                                         mode)
         assert_close(cert.min_eig, min_eig)
         np.testing.assert_array_equal(cert.rank_trace, rank)
+
+    def test_transition_matrix(self, prob):
+        # forward: dPhi/dt = F Phi from the identity, F = A
+        f = prob.sys.A
+        want = ref_rk4(lambda t, y: coeff_at(f, t, prob.grid) @ y,
+                       np.eye(prob.sys.n), prob.grid)
+        phi = transition_matrix(f, prob.grid)
+        got = np.stack([phi(t, 0.0) for t in prob.grid.times()])
+        assert_close(got, want)
+
+    def test_lyapunov_final(self, prob):
+        # backward: -dX/dt = F^T X + X F + H from X(T); in reversed time
+        # s = T - t it is the forward flow the oracle steps
+        f, h, grid = prob.sys.A, prob.W, prob.grid
+        x_t = 0.5 * (prob.X_i + prob.X_i.T)
+
+        def rev(s, x):
+            fs = coeff_at(f, grid.T - s, grid)
+            return fs.T @ x + x @ fs + coeff_at(h, grid.T - s, grid)
+
+        want = ref_rk4(rev, x_t, grid, sym=True)[::-1]
+        got = solve_lyapunov_final(f, h, prob.X_i, grid).values
+        assert_close(got, want)
 
     def test_gain(self, prob):
         assert_close(prob.gain.K, ref_gain(prob.lam, prob.sys, prob.cost))

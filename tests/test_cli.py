@@ -118,6 +118,27 @@ class TestProblemParsing:
         rc, out, _ = run(capsys, ["iqc", write_doc(tmp_path, doc)])
         assert rc == 1 and out == ""
 
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", True])
+    def test_seed_must_be_a_nonnegative_integer(self, tmp_path, capsys,
+                                                seed):
+        # 1.5 used to be truncated to seed 1
+        doc = lqr_doc(steps=64)
+        doc["options"] = {"seed": seed}
+        with pytest.raises(DocumentError, match="options.seed"):
+            parse_problem(doc)
+        rc, out, err = run(capsys, ["dri-cloud", write_doc(tmp_path, doc),
+                                    "--samples", "2",
+                                    "--csv-dir", str(tmp_path / "o")])
+        assert rc == 1 and out == ""
+        assert "options.seed" in err
+
+    def test_integral_seed_accepted(self):
+        # the schema's integer admits a number with a zero fraction
+        doc = lqr_doc()
+        doc["options"] = {"seed": 4.0}
+        _, options = parse_problem(doc)
+        assert options["seed"] == 4 and isinstance(options["seed"], int)
+
     def test_overrides_beat_document(self):
         spec, _ = parse_problem(lqr_doc(steps=64), steps_override=128,
                                 T_override=2.0)
@@ -176,6 +197,29 @@ class TestProblemParsing:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["lqr"],
+        ["nosuch", "p.json"],
+        ["lqr", "p.json", "--bogus"],
+        ["lqr", "p.json", "--steps", "abc"],
+        ["dri-cloud", "p.json", "--tol", "1e-5"],
+    ])
+    def test_usage_error_is_input_error(self, tmp_path, capsys, argv):
+        # argparse's own exit code 2 would read as "minus infinity"
+        argv = [write_doc(tmp_path, lqr_doc()) if a == "p.json" else a
+                for a in argv]
+        rc, out, err = run(capsys, argv)
+        assert rc == 1
+        assert out == "" and "usage:" in err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert "lqconic" in capsys.readouterr().out
+
     def test_lqr_success(self, tmp_path, capsys):
         rc, out, _ = run(capsys, ["lqr", write_doc(tmp_path, lqr_doc())])
         assert rc == 0
@@ -270,6 +314,29 @@ class TestExitCodes:
         doc["options"] = {"tol": 1e-6}
         run(capsys, ["passivity", write_doc(tmp_path, doc, "opts.json")])
         assert seen == [1e-5, 1e-6]
+
+    def test_passivity_escape_cap_reaches_the_test(self, tmp_path, capsys,
+                                                   monkeypatch):
+        import lqconic.cli as cli_mod
+        from lqconic.riccati import ESCAPE_CAP
+        seen = []
+        real = cli_mod.passivity_test
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("escape_cap"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "passivity_test", spy)
+        doc = pr_doc(True, steps=64)
+        rc, _, _ = run(capsys, ["passivity", write_doc(tmp_path, doc)])
+        assert rc == 0
+        # the passive storage stays far below 1e9 but not below 1e-6
+        doc["options"] = {"escape_cap": 1e-6}
+        rc, out, _ = run(capsys,
+                         ["passivity", write_doc(tmp_path, doc, "opts.json")])
+        assert rc == 3
+        assert json.loads(out)["verdict"] is False
+        assert seen == [ESCAPE_CAP, 1e-6]
 
     def test_passivity_d_zero_is_input_error(self, tmp_path, capsys):
         doc = pr_doc(True)
@@ -445,6 +512,15 @@ class TestDriCloudCommand:
         assert summary["dre_escaped"] is True
         assert abs(summary["dre_escape_time"] - (2.0 - math.atanh(0.5))) \
             < 2 * 2.0 / 128
+
+    def test_negative_sample_count_is_input_error(self, tmp_path, capsys):
+        # used to end in an uncaught IndexError
+        rc, out, err = run(capsys, ["dri-cloud",
+                                    write_doc(tmp_path, lqr_doc(steps=64)),
+                                    "--samples", "-1",
+                                    "--csv-dir", str(tmp_path / "o")])
+        assert rc == 1 and out == ""
+        assert "n_samples" in err
 
     def test_rejects_norm_variants(self, tmp_path, capsys):
         rc, _, err = run(capsys, ["dri-cloud", write_doc(tmp_path, br_doc()),
