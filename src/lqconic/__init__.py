@@ -14,10 +14,9 @@ from .analyzers import (BracketFailure, Certificate, DNotStrictlyPassive,
                         hinf_norm_bisection, iqc_infimum, passivity_test,
                         scalar_preset, solve_lqr, solve_stoch_lqr,
                         verify_solution)
-from .covariance import (CovTrajectory, Gain, RankTooHigh,
-                         alignment_residual, closed_loop_simulate,
-                         deterministic_covariance, descriptor_residual,
-                         extract_rank_one_factor, gain_from_dual,
+from .covariance import (CovTrajectory, Gain, alignment_residual,
+                         closed_loop_simulate, deterministic_covariance,
+                         descriptor_residual, gain_from_dual,
                          monte_carlo_cost, primal_objective,
                          stochastic_covariance)
 from .dlmi import (DlmiCertificate, ResidualTooLarge, assemble_M,
@@ -28,11 +27,8 @@ from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     ValidationError, apply_A_adj, apply_Aop, apply_E,
                     apply_E_adj, assemble_quadform, effective_cost, validate)
 from .riccati import (DreSolution, DriSample, LoewnerVerdict, MatTrajectory,
-                      TransitionEvaluator, loewner_compare,
-                      riccati_residual, sample_dri_solution,
-                      sample_dri_solution_initial, solve_dre_final,
-                      solve_dre_initial, solve_lyapunov_final,
-                      transition_matrix)
+                      loewner_compare, sample_dri_solution, solve_dre_final,
+                      solve_lyapunov_final)
 from .symmat import (M22NotPDError, NotPSDError, OrthogonalityReport,
                      SymFactor, SymMat, eps_rank, nuclear_norm,
                      orthogonality_certificate, schur_psd_test, sigma_max_norm,
@@ -52,17 +48,14 @@ __all__ = [
     "ValidationError", "validate", "effective_cost", "assemble_quadform",
     "apply_E", "apply_Aop", "apply_E_adj", "apply_A_adj",
     "MatTrajectory", "DreSolution", "DriSample", "LoewnerVerdict",
-    "TransitionEvaluator",
-    "transition_matrix", "solve_lyapunov_final", "solve_dre_final",
-    "solve_dre_initial", "sample_dri_solution",
-    "sample_dri_solution_initial", "loewner_compare",
-    "riccati_residual",
+    "solve_lyapunov_final", "solve_dre_final", "sample_dri_solution",
+    "loewner_compare",
     "DlmiCertificate", "ResidualTooLarge", "assemble_M", "feasibility",
     "extremal_factorization", "lure_residuals", "dual_objective",
-    "CovTrajectory", "Gain", "RankTooHigh", "gain_from_dual",
+    "CovTrajectory", "Gain", "gain_from_dual",
     "closed_loop_simulate", "deterministic_covariance",
     "stochastic_covariance", "primal_objective", "descriptor_residual",
-    "alignment_residual", "extract_rank_one_factor", "monte_carlo_cost",
+    "alignment_residual", "monte_carlo_cost",
     "Certificate", "NormResult", "DriCloudReport", "VerificationReport",
     "EscapeUnexpected", "BracketFailure", "DNotStrictlyPassive",
     "solve_lqr", "solve_stoch_lqr", "iqc_infimum", "bounded_real_test",

@@ -401,10 +401,9 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
     lookup, step_to_interval = _node_forcing_lookup(hvals, bounds)
     flow = _RicFlow(sys, cost, grid)
     lam0 = np.zeros((n_samples + 1, n, n))
-    values, escaped, escape_time = _sweep(flow, lam0, grid, "final",
-                                          escape_cap, forcings=lookup)
-    dre = _dre_solution(flow, grid, values[0], escaped[0], escape_time[0],
-                        "final", "dre-final")
+    values, escaped, escape_time = _sweep(flow, lam0, grid, escape_cap,
+                                          forcings=lookup)
+    dre = _dre_solution(flow, grid, values[0], escaped[0], escape_time[0])
 
     samples: List[DriSample] = []
     node_interval = np.append(step_to_interval, step_to_interval[-1])
@@ -462,6 +461,10 @@ def verify_solution(spec: ProblemSpec, certificate: Certificate,
         checks.append(VerificationCheck(name, float(value), float(threshold), ok))
         return ok
 
+    judged = certificate.variant in ("bounded_real", "positive_real")
+    if judged:  # the verdict claims the flow stays bounded on the horizon
+        check("verdict_match",
+              float(certificate.verdict != (not dre2.escaped)), 0.0)
     if certificate.minus_infinity:
         h = spec.grid.h
         if not dre2.escaped:
@@ -470,8 +473,9 @@ def verify_solution(spec: ProblemSpec, certificate: Certificate,
             return VerificationReport(False, checks, grid2, notes=notes)
         check("escape_confirmed", 1.0, 1.0, ok=True)
         err = abs((certificate.escape_time or math.nan) - dre2.escape_time)
-        ok = check("escape_time_match", err, 2.0 * h)
-        return VerificationReport(ok, checks, grid2, notes=notes)
+        check("escape_time_match", err, 2.0 * h)
+        return VerificationReport(all(c.ok for c in checks), checks, grid2,
+                                  notes=notes)
 
     if dre2.escaped:
         check("bounded_confirmed", 0.0, 0.0, ok=False)
@@ -502,9 +506,15 @@ def verify_solution(spec: ProblemSpec, certificate: Certificate,
     check("alignment", align2, max(1e-6, 1e-4 * scale))
     check("weak_duality", dual2 - primal2, 1e-6 * scale)
 
-    if certificate.variant in ("bounded_real", "positive_real"):
+    if judged:
         lmax = float(np.linalg.eigvalsh(lam2.values).max())
         check("dual_sign", lmax, tol)
+        # the primal side starts at rest and never sees the gain, so it is
+        # compared with the refined extremal's gain; the allowance covers
+        # the linear interpolation of the claimed gain between its nodes
+        k2 = gain_from_dual(lam2, sys, cost).K
+        check("gain_match", float(np.max(np.abs(gain2.K - k2))),
+              1e-2 * (1.0 + float(np.max(np.abs(k2)))))
 
     passed = all(c.ok for c in checks)
     return VerificationReport(passed, checks, grid2,

@@ -333,7 +333,8 @@ def _load_problem(args, expected, wrong: str):
     """Load and parse a subcommand's problem document and check that its
     variant is one of ``expected`` (``wrong`` is the error text, with
     {got} for the variant found). --tol, where the subcommand has it,
-    overrides options["tol"]. Returns (document, ProblemSpec, options)."""
+    overrides options["tol"] and, like it, must be positive. Returns
+    (document, ProblemSpec, options)."""
     doc = _load_json(args.problem)
     spec, options = parse_problem(doc, steps_override=args.steps,
                                   T_override=args.T)
@@ -341,6 +342,8 @@ def _load_problem(args, expected, wrong: str):
         raise DocumentError("variant.type", wrong.format(
             got=type(spec.variant).__name__))
     if getattr(args, "tol", None) is not None:
+        if not args.tol > 0:
+            raise DocumentError("--tol", f"must be positive, got {args.tol!r}")
         options["tol"] = args.tol
     return doc, spec, options
 
@@ -384,11 +387,15 @@ def cmd_certificate(args):
 
 
 def cmd_hinf(args):
-    doc, spec, options = _load_problem(
+    doc, spec, _ = _load_problem(
         args, BoundedReal, "subcommand 'hinf' needs a bounded_real problem")
+    # --tol is the bracket width; the document's options.tol is a
+    # certificate tolerance, so without the flag the bisection keeps its
+    # own default
+    width = {} if args.tol is None else {"tol": args.tol}
     t0 = time.perf_counter()
     res = hinf_norm_bisection(spec.sys, spec.grid.T, steps=spec.grid.steps,
-                              tol=options["tol"])
+                              **width)
     timing = time.perf_counter() - t0
     _emit({
         **_header("norm_result", problem_sha256(doc), spec.grid),

@@ -31,7 +31,6 @@ from .symmat import sym_factor
 __all__ = [
     "CovTrajectory",
     "Gain",
-    "RankTooHigh",
     "gain_from_dual",
     "closed_loop_simulate",
     "deterministic_covariance",
@@ -39,13 +38,8 @@ __all__ = [
     "primal_objective",
     "descriptor_residual",
     "alignment_residual",
-    "extract_rank_one_factor",
     "monte_carlo_cost",
 ]
-
-
-class RankTooHigh(ValueError):
-    """The matrix has numerical rank above one, so no single factor exists."""
 
 
 @dataclass(frozen=True)
@@ -252,39 +246,6 @@ def alignment_residual(sigma: CovTrajectory, lambda_bar: MatTrajectory,
                          quadform, t)
         vals[block] = np.sum(m * traj.values[block], axis=(1, 2))
     return trapz(vals, grid.h)
-
-
-def extract_rank_one_factor(sigma_sample, tol: float = 1e-9,
-                            prev=None) -> np.ndarray:
-    """Vector z with z z^T equal to the given rank-one PSD sample.
-
-    Sign convention: first entry of largest magnitude is positive, unless a
-    previous node's factor is supplied, in which case the sign matching that
-    neighbor is kept (continuity across a trajectory).
-    """
-    s = as_matrix(getattr(sigma_sample, "mat", sigma_sample))
-    s = 0.5 * (s + s.T)
-    w, v = np.linalg.eigh(s)
-    scale = tol * max(1.0, float(np.abs(w).max()))
-    if w[0] < -scale:
-        raise RankTooHigh(
-            f"sample has negative eigenvalue {w[0]:.3e}; not PSD")
-    if w.size > 1 and w[-2] > scale:
-        raise RankTooHigh(
-            f"second eigenvalue {w[-2]:.3e} exceeds the rank-one threshold")
-    top = float(w[-1])
-    if top <= scale:
-        return np.zeros(s.shape[0])
-    z = np.sqrt(top) * v[:, -1]
-    if prev is not None:
-        p = np.asarray(prev, dtype=float).reshape(-1)
-        if float(z @ p) < 0.0:
-            z = -z
-    else:
-        lead = int(np.argmax(np.abs(z)))
-        if z[lead] < 0.0:
-            z = -z
-    return z
 
 
 def monte_carlo_cost(sys: StateSpace, gain: Gain, cost: CostData, W, X_i,

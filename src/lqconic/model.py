@@ -157,10 +157,6 @@ class StateSpace:
         self.m = m
         self.p = p
 
-    @property
-    def time_varying(self) -> bool:
-        return any(c.ndim == 3 for c in (self.A, self.B, self.C, self.D))
-
     def ab_at(self, t: float, grid: TimeGrid):
         return coeff_at(self.A, t, grid), coeff_at(self.B, t, grid)
 
@@ -403,24 +399,13 @@ def validate(spec: ProblemSpec) -> None:
 
 
 def _stack_cost_blocks(Q, N, R):
-    nq = Q.shape[-1] + R.shape[-1]
-
-    def build(q, nmat, r):
-        top = np.hstack([q, nmat])
-        bot = np.hstack([nmat.T, r])
-        return np.vstack([top, bot])
-
-    if Q.ndim == 2 and N.ndim == 2 and R.ndim == 2:
-        return build(Q, N, R)
-    k = max(c.shape[0] for c in (Q, N, R) if c.ndim == 3)
-    out = np.empty((k, nq, nq))
-    for i in range(k):
-        out[i] = build(
-            Q[i] if Q.ndim == 3 else Q,
-            N[i] if N.ndim == 3 else N,
-            R[i] if R.ndim == 3 else R,
-        )
-    return out
+    """[[Q, N], [N^T, R]]: one matrix, or one per node when any block is
+    node-sampled (the constant blocks broadcast along the node axis)."""
+    lead = np.broadcast_shapes(Q.shape[:-2], N.shape[:-2], R.shape[:-2])
+    rows = ([Q, N], [N.swapaxes(-1, -2), R])
+    return np.concatenate([np.concatenate(
+        [np.broadcast_to(c, lead + c.shape[-2:]) for c in row], axis=-1)
+        for row in rows], axis=-2)
 
 
 def effective_cost(spec: ProblemSpec) -> CostData:

@@ -1,20 +1,18 @@
 """Differential Lyapunov and Riccati solvers with finite-escape handling.
 
-Backward (final-value) and forward (initial-value) integration of the
-quadratic matrix flow
+Backward (final-value) integration of the quadratic matrix flow
 
     d(Lam)/dt + A^T Lam + Lam A - (N + Lam B) R^{-1} (N + Lam B)^T + Q = H
 
 by the fixed-step RK4 of `_num` on a uniform grid. H=0 gives the Riccati
 equation whose final-value solution is the maximal solution of the matching
-differential matrix inequality (and whose initial-value solution is the
-minimal one); H is a positive semidefinite forcing used to sample the
-inequality's other solutions. Solutions may escape in finite time: escape is
-an outcome, not an error, detected by a cap on the largest singular value
-and refined by bisecting the last step. The cap test is screened by the
-Frobenius norm, an upper bound on the largest singular value, so eigvalsh
-runs only on samples that may exceed the cap; the verdicts are those of
-eigvalsh on every sample.
+differential matrix inequality; H is a positive semidefinite forcing used
+to sample the inequality's other solutions. Solutions may escape in finite
+time: escape is an outcome, not an error, detected by a cap on the largest
+singular value and refined by bisecting the last step. The cap test is
+screened by the Frobenius norm, an upper bound on the largest singular
+value, so eigvalsh runs only on samples that may exceed the cap; the
+verdicts are those of eigvalsh on every sample.
 
 A sweep integrates a batch of samples. A sample that exceeds the cap leaves
 the batch with its last good state, so later steps touch only the samples
@@ -47,14 +45,10 @@ __all__ = [
     "DreSolution",
     "DriSample",
     "LoewnerVerdict",
-    "transition_matrix",
     "solve_lyapunov_final",
     "solve_dre_final",
-    "solve_dre_initial",
     "sample_dri_solution",
-    "sample_dri_solution_initial",
     "loewner_compare",
-    "riccati_residual",
     "forcing_amplitude",
 ]
 
@@ -106,17 +100,16 @@ class MatTrajectory:
 class DreSolution:
     """Riccati-equation solution with escape diagnostics.
 
-    For a final-value (backward) solve, an escape at time t* leaves nodes
-    with t <= t* invalid; for an initial-value (forward) solve, nodes with
-    t >= t*. residual_max is a post-hoc finite-difference residual sweep over
-    the valid nodes, independent of the integrator.
+    The solve runs backward from the final value, so an escape at time t*
+    leaves the nodes with t <= t* invalid. residual_max is a post-hoc
+    finite-difference residual sweep over the valid nodes, independent of
+    the integrator.
     """
 
     lam: MatTrajectory
     escaped: bool
     escape_time: Optional[float]
     residual_max: float
-    direction: str  # "final" (backward) or "initial" (forward)
 
     def as_trajectory(self) -> MatTrajectory:
         if self.escaped:
@@ -219,9 +212,9 @@ def _batch_sigma_max(y: np.ndarray, cap: float) -> np.ndarray:
     return norms
 
 
-def _refine_escape(flow, t_good, y_good, h, sign, cap, forcing):
-    """Bisect, per sample, the step size at which one RK4 step from its last
-    good state first exceeds the cap.
+def _refine_escape(flow, t_good, y_good, h, cap, forcing):
+    """Bisect, per sample, the size of the backward step at which one RK4
+    step from its last good state first exceeds the cap.
 
     t_good (E,), y_good (E, n, n) and forcing ((E, n, n) or None) hold each
     escaped sample's last good node and the forcing of the step it failed.
@@ -242,7 +235,7 @@ def _refine_escape(flow, t_good, y_good, h, sign, cap, forcing):
             f = f[split] if f is not None else None
             if idx.size == 0:
                 break
-        dt = sign * mid
+        dt = -mid
         stages = flow.stage_tables(t, dt)
         with np.errstate(over="ignore", invalid="ignore"):
             trial = _rk4_step(stages, y, dt[:, None, None], f)
@@ -250,12 +243,13 @@ def _refine_escape(flow, t_good, y_good, h, sign, cap, forcing):
         hi = np.where(over, mid, hi)
         lo = np.where(over, lo, mid)
     lo_all[idx], hi_all[idx] = lo, hi
-    return t_good + sign * 0.5 * (lo_all + hi_all)
+    return t_good - 0.5 * (lo_all + hi_all)
 
 
-def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, direction: str,
-           cap: float, forcings=None):
-    """Integrate a batch of Riccati flows across the grid.
+def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, cap: float,
+           forcings=None):
+    """Integrate a batch of Riccati flows backward across the grid from
+    their final values lam0 (S, n, n).
 
     forcings: None, or per-step forcing lookup ``forcings(step_index)``
     returning a (S, n, n) array for the step between nodes step_index and
@@ -275,31 +269,22 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, direction: str,
     values = np.full((s, k_steps + 1, n, n), np.nan)
     escaped = np.zeros(s, dtype=bool)
     escape_time = np.full(s, np.nan)
-
-    if direction == "final":
-        start_node, step_order, sign = k_steps, np.arange(k_steps, 0, -1), -1.0
-    elif direction == "initial":
-        start_node, step_order, sign = 0, np.arange(0, k_steps), 1.0
-    else:
-        raise ValueError(f"direction must be 'final' or 'initial', got {direction!r}")
-    dt = sign * h
+    step_order = np.arange(k_steps, 0, -1)  # step k runs from node k to k-1
 
     y = 0.5 * (lam0 + lam0.transpose(0, 2, 1))
-    values[:, start_node] = y
+    values[:, k_steps] = y
     live = np.arange(s)
     # per step with escapes: (samples, time, last good states, forcings)
     blown = []
 
     for block in node_blocks(k_steps):
         ks = step_order[block]
-        tables = flow.stage_tables(times[ks], dt)
+        tables = flow.stage_tables(times[ks], -h)
         for j, k in enumerate(ks.tolist()):
-            target = k - 1 if direction == "final" else k + 1
-            step_idx = k - 1 if direction == "final" else k
-            forcing = None if forcings is None else forcings(step_idx)[live]
+            forcing = None if forcings is None else forcings(k - 1)[live]
             stages = tables if flow.const else [_row(tab, j) for tab in tables]
             with np.errstate(over="ignore", invalid="ignore"):
-                y_new = _rk4_step(stages, y, dt, forcing)
+                y_new = _rk4_step(stages, y, -h, forcing)
             blew = _batch_sigma_max(y_new, cap) > cap
             if blew.any():
                 blown.append((live[blew], times[k], y[blew],
@@ -307,7 +292,7 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, direction: str,
                 live, y_new = live[~blew], y_new[~blew]
                 if live.size == 0:
                     break
-            values[live, target] = y_new
+            values[live, k - 1] = y_new
             y = y_new
         if live.size == 0:
             break
@@ -319,8 +304,7 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, direction: str,
         f_good = None if forcings is None else \
             np.concatenate([b[3] for b in blown])
         escaped[idx] = True
-        escape_time[idx] = _refine_escape(flow, t_good, y_good, h, sign, cap,
-                                          f_good)
+        escape_time[idx] = _refine_escape(flow, t_good, y_good, h, cap, f_good)
     return values, escaped, escape_time
 
 
@@ -404,26 +388,13 @@ def _residual_sweep(lam_values: np.ndarray, flow: _RicFlow, grid: TimeGrid,
     return worst
 
 
-def _solve_dre(sys, cost, lam_bc, grid, direction, escape_cap, meta):
-    flow = _RicFlow(sys, cost, grid)
-    lam0 = as_matrix(lam_bc)
-    if lam0.shape != (sys.n, sys.n):
-        raise ValueError(f"boundary value has shape {lam0.shape}, expected "
-                         f"({sys.n}, {sys.n})")
-    values, escaped, escape_time = _sweep(
-        flow, lam0[None], grid, direction, escape_cap)
-    return _dre_solution(flow, grid, values[0], escaped[0], escape_time[0],
-                         direction, meta)
-
-
-def _dre_solution(flow, grid, values, escaped, escape_time, direction, meta):
+def _dre_solution(flow, grid, values, escaped, escape_time):
     """DreSolution of one unforced sample of a sweep, with its residual."""
     return DreSolution(
-        lam=MatTrajectory(grid, values, meta=meta),
+        lam=MatTrajectory(grid, values, meta="dre-final"),
         escaped=bool(escaped),
         escape_time=float(escape_time) if escaped else None,
         residual_max=_residual_sweep(values, flow, grid),
-        direction=direction,
     )
 
 
@@ -431,27 +402,30 @@ def solve_dre_final(sys: StateSpace, cost: CostData, lambda_f, grid: TimeGrid,
                     escape_cap: float = ESCAPE_CAP) -> DreSolution:
     """Backward Riccati solve from the final value; maximal solution of the
     final-value differential matrix inequality."""
-    return _solve_dre(sys, cost, lambda_f, grid, "final", escape_cap, "dre-final")
+    flow = _RicFlow(sys, cost, grid)
+    lam0 = as_matrix(lambda_f)
+    if lam0.shape != (sys.n, sys.n):
+        raise ValueError(f"boundary value has shape {lam0.shape}, expected "
+                         f"({sys.n}, {sys.n})")
+    values, escaped, escape_time = _sweep(flow, lam0[None], grid, escape_cap)
+    return _dre_solution(flow, grid, values[0], escaped[0], escape_time[0])
 
 
-def solve_dre_initial(sys: StateSpace, cost: CostData, lambda_i, grid: TimeGrid,
-                      escape_cap: float = ESCAPE_CAP) -> DreSolution:
-    """Forward Riccati solve from the initial value; minimal solution of the
-    initial-value differential matrix inequality."""
-    return _solve_dre(sys, cost, lambda_i, grid, "initial", escape_cap, "dre-initial")
-
-
-def _sample_dri(sys, cost, lam_bc, grid, direction, switch_points, seed,
-                amplitude, escape_cap):
+def sample_dri_solution(sys: StateSpace, cost: CostData, lambda_f,
+                        grid: TimeGrid, switch_points: int = 10,
+                        seed: int = 0, amplitude: Optional[float] = None,
+                        escape_cap: float = ESCAPE_CAP) -> DriSample:
+    """Draw one final-value Riccati-inequality solution via a random
+    piecewise-constant PSD forcing subtracted from the state-weight side."""
     flow = _RicFlow(sys, cost, grid)
     if amplitude is None:
         amplitude = forcing_amplitude(cost)
     hvals = draw_forcing(sys.n, switch_points, seed, amplitude)[None]
     bounds = switch_bounds(grid.steps, switch_points)
     lookup, step_to_interval = _node_forcing_lookup(hvals, bounds)
-    lam0 = as_matrix(lam_bc)
-    values, escaped, escape_time = _sweep(
-        flow, lam0[None], grid, direction, escape_cap, forcings=lookup)
+    lam0 = as_matrix(lambda_f)
+    values, escaped, escape_time = _sweep(flow, lam0[None], grid, escape_cap,
+                                          forcings=lookup)
 
     node_interval = np.append(step_to_interval, step_to_interval[-1])
     forcing_nodes = hvals[0][node_interval]
@@ -467,58 +441,6 @@ def _sample_dri(sys, cost, lam_bc, grid, direction, switch_points, seed,
         escape_time=float(escape_time[0]) if escaped[0] else None,
         residual_max=residual,
     )
-
-
-def sample_dri_solution(sys: StateSpace, cost: CostData, lambda_f,
-                        grid: TimeGrid, switch_points: int = 10,
-                        seed: int = 0, amplitude: Optional[float] = None,
-                        escape_cap: float = ESCAPE_CAP) -> DriSample:
-    """Draw one final-value Riccati-inequality solution via a random
-    piecewise-constant PSD forcing subtracted from the state-weight side."""
-    return _sample_dri(sys, cost, lambda_f, grid, "final", switch_points,
-                       seed, amplitude, escape_cap)
-
-
-def sample_dri_solution_initial(sys: StateSpace, cost: CostData, lambda_i,
-                                grid: TimeGrid, switch_points: int = 10,
-                                seed: int = 0, amplitude: Optional[float] = None,
-                                escape_cap: float = ESCAPE_CAP) -> DriSample:
-    """Forward analogue of sample_dri_solution from an initial value."""
-    return _sample_dri(sys, cost, lambda_i, grid, "initial", switch_points,
-                       seed, amplitude, escape_cap)
-
-
-class TransitionEvaluator:
-    """State-transition matrix between grid nodes for dx/dt = F(t) x."""
-
-    def __init__(self, grid: TimeGrid, cumulative: np.ndarray):
-        self.grid = grid
-        self._cum = cumulative  # (steps+1, n, n), cum[k] = Phi(t_k, 0)
-
-    def _node(self, t: float) -> int:
-        pos = t / self.grid.h
-        k = int(round(pos))
-        if not (0 <= k <= self.grid.steps) or abs(pos - k) > 1e-9 * (self.grid.steps + 1):
-            raise ValueError(f"time {t} is not a grid node")
-        return k
-
-    def __call__(self, t_to: float, t_from: float) -> np.ndarray:
-        i, j = self._node(t_to), self._node(t_from)
-        # Phi(t_i, t_j) = cum[i] cum[j]^{-1}
-        return np.linalg.solve(self._cum[j].T, self._cum[i].T).T
-
-
-def transition_matrix(F, grid: TimeGrid) -> TransitionEvaluator:
-    """Build a node-to-node transition-matrix evaluator by stepping the
-    matrix ODE dPhi/dt = F(t) Phi with RK4 across each grid interval, F
-    tabulated at the stage times one block of steps at a time."""
-    fc = as_matrix(F)
-
-    def tables(t, dt):
-        return [(coeff_on(fc, s, grid),) for s in (t, t + 0.5 * dt, t + dt)]
-
-    cum = propagate(lambda d, y: d[0] @ y, tables, np.eye(fc.shape[-1]), grid)
-    return TransitionEvaluator(grid, cum)
 
 
 def solve_lyapunov_final(F, H, X_T, grid: TimeGrid) -> MatTrajectory:
@@ -582,17 +504,3 @@ def loewner_compare(a: MatTrajectory, b: MatTrajectory,
         verdict = "incomparable"
     return LoewnerVerdict(a_ge, b_ge, verdict, margin_ab, margin_ba, count)
 
-
-def riccati_residual(lam: MatTrajectory, sys: StateSpace,
-                     cost: CostData) -> MatTrajectory:
-    """Evaluate the Riccati operator along a sampled trajectory, with the
-    time derivative taken by centered finite differences (one-sided at the
-    endpoints) so the check is independent of any integrator."""
-    flow = _RicFlow(sys, cost, lam.grid)
-    out = np.full_like(lam.values, np.nan)
-    idx = np.nonzero(lam.valid_mask())[0]
-    if idx.size >= 3:
-        for block, r in _operator_blocks(flow, lam.grid, idx,
-                                         lam.values[idx]):
-            out[idx[block]] = r
-    return MatTrajectory(lam.grid, out, meta="riccati-residual")

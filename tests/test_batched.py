@@ -28,11 +28,12 @@ from lqconic.model import (CostData, ProblemSpec, StateSpace, StochLQR,
                            TimeGrid, apply_Aop, assemble_quadform, coeff_at,
                            coeff_on)
 from lqconic import riccati
+from lqconic._num import propagate
 from lqconic.riccati import (_batch_sigma_max, _node_forcing_lookup,
-                             _residual_sweep, _RicFlow, _rk4_step, _row,
-                             _sweep, draw_forcing, riccati_residual,
+                             _operator_blocks, _residual_sweep, _RicFlow,
+                             _rk4_step, _row, _sweep, draw_forcing,
                              solve_dre_final, solve_lyapunov_final,
-                             switch_bounds, transition_matrix)
+                             switch_bounds)
 
 STEPS = 2 * NODE_BLOCK + 3
 DEFAULT_ITERS = riccati.ESCAPE_REFINE_ITERS
@@ -171,28 +172,25 @@ def ref_dual_w(lam, W):
                            for k, t in enumerate(grid.times())]), grid.h)
 
 
-def ref_sweep(sys, cost, grid, direction):
-    """Riccati RK4 from a zero boundary value, coefficients read by coeff_at
-    at every stage."""
+def ref_sweep(sys, cost, grid):
+    """Backward Riccati RK4 from a zero final value, coefficients read by
+    coeff_at at every stage."""
     def f(t, lam):
         a, b = sys.ab_at(t, grid)
         q, nmat, r = cost.at(t, grid)
         return ref_rhs(lam, a, b, 0.5 * (q + q.T), nmat, r)
 
-    h = grid.h
     times = grid.times()
-    sign = -1.0 if direction == "final" else 1.0
-    order = range(grid.steps, 0, -1) if sign < 0 else range(grid.steps)
     out = np.empty((grid.steps + 1, sys.n, sys.n))
-    out[order[0]] = 0.0
-    for k in order:
-        t, y, dt = times[k], out[k], sign * h
+    out[-1] = 0.0
+    for k in range(grid.steps, 0, -1):
+        t, y, dt = times[k], out[k], -grid.h
         k1 = f(t, y)
         k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
         k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
         k4 = f(t + dt, y + dt * k3)
         nxt = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + int(sign)] = 0.5 * (nxt + nxt.T)
+        out[k - 1] = 0.5 * (nxt + nxt.T)
     return out
 
 
@@ -207,6 +205,16 @@ def ref_operator(values, sys, cost, grid):
         q, nmat, r = cost.at(times[k], grid)
         out[k] = ldot[j] - ref_rhs(values[k], a, b, 0.5 * (q + q.T), nmat, r)
     return out, idx
+
+
+def operator_nodes(values, flow, grid):
+    """The residual sweep's operator blocks put back at their nodes, NaN
+    outside the valid segment."""
+    out = np.full_like(values, np.nan)
+    idx = np.nonzero(np.isfinite(values).all(axis=(1, 2)))[0]
+    for block, r in _operator_blocks(flow, grid, idx, values[idx]):
+        out[idx[block]] = r
+    return out
 
 
 def ref_residual_max(values, sys, cost, grid, forcing_nodes=None,
@@ -279,15 +287,12 @@ def prob(request):
 
 
 class TestStagesMatchLoops:
-    @pytest.mark.parametrize("direction", ["final", "initial"])
-    def test_sweep_with_tabulated_coefficients(self, prob, direction):
+    def test_sweep_with_tabulated_coefficients(self, prob):
         n = prob.sys.n
         values, escaped, _ = _sweep(_RicFlow(prob.sys, prob.cost, prob.grid),
-                                    np.zeros((1, n, n)), prob.grid,
-                                    direction, 1e9)
+                                    np.zeros((1, n, n)), prob.grid, 1e9)
         assert not escaped[0]
-        assert_close(values[0], ref_sweep(prob.sys, prob.cost, prob.grid,
-                                          direction))
+        assert_close(values[0], ref_sweep(prob.sys, prob.cost, prob.grid))
 
     @pytest.mark.parametrize("mode", ["dre", "fd"])
     def test_feasibility(self, prob, mode):
@@ -299,12 +304,14 @@ class TestStagesMatchLoops:
         np.testing.assert_array_equal(cert.rank_trace, rank)
 
     def test_transition_matrix(self, prob):
-        # forward: dPhi/dt = F Phi from the identity, F = A
-        f = prob.sys.A
-        want = ref_rk4(lambda t, y: coeff_at(f, t, prob.grid) @ y,
-                       np.eye(prob.sys.n), prob.grid)
-        phi = transition_matrix(f, prob.grid)
-        got = np.stack([phi(t, 0.0) for t in prob.grid.times()])
+        # forward: dPhi/dt = F Phi from the identity, F = A, by the one
+        # linear propagation with F tabulated at the stage times
+        f, grid = prob.sys.A, prob.grid
+        want = ref_rk4(lambda t, y: coeff_at(f, t, grid) @ y,
+                       np.eye(prob.sys.n), grid)
+        got = propagate(lambda d, y: d[0] @ y, lambda t, dt: [
+            (coeff_on(f, s, grid),) for s in (t, t + 0.5 * dt, t + dt)],
+            np.eye(prob.sys.n), grid)
         assert_close(got, want)
 
     def test_lyapunov_final(self, prob):
@@ -359,7 +366,7 @@ class TestStagesMatchLoops:
         values = prob.lam.values
         assert_close(_residual_sweep(values, flow, prob.grid),
                      ref_residual_max(values, prob.sys, prob.cost, prob.grid))
-        got = riccati_residual(prob.lam, prob.sys, prob.cost).values
+        got = operator_nodes(values, flow, prob.grid)
         assert_close(got, ref_operator(values, prob.sys, prob.cost,
                                        prob.grid)[0])
 
@@ -372,7 +379,7 @@ class TestStagesMatchLoops:
             hvals, switch_bounds(prob.grid.steps, 7))
         flow = _RicFlow(prob.sys, prob.cost, prob.grid)
         values, escaped, _ = _sweep(flow, np.zeros((1, n, n)), prob.grid,
-                                    "final", 1e9, forcings=lookup)
+                                    1e9, forcings=lookup)
         assert not escaped[0]
         forcing_nodes = hvals[0][np.append(step_interval, step_interval[-1])]
         got = _residual_sweep(values[0], flow, prob.grid,
@@ -399,7 +406,7 @@ def test_residual_sweep_on_escaped_trajectory():
     flow = _RicFlow(sys, cost, grid)
     assert_close(_residual_sweep(dre.lam.values, flow, grid),
                  ref_residual_max(dre.lam.values, sys, cost, grid))
-    got = riccati_residual(dre.lam, sys, cost).values
+    got = operator_nodes(dre.lam.values, flow, grid)
     want = ref_operator(dre.lam.values, sys, cost, grid)[0]
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     valid = ~np.isnan(want)
@@ -436,9 +443,10 @@ class TestCoeffOn:
 # ---------------------------------------------------------------------------
 # escape refinement
 
-def ref_refine_escape(flow, t_good, y_good, h, sign, cap, forcing):
-    """Bisect the step size at which a single RK4 step first exceeds the cap
-    (one sample); returns the escape time and the bisection steps taken."""
+def ref_refine_escape(flow, t_good, y_good, h, cap, forcing):
+    """Bisect the size of the backward step at which a single RK4 step first
+    exceeds the cap (one sample); returns the escape time and the bisection
+    steps taken."""
     lo, hi = 0.0, h
     taken = 0
     for _ in range(riccati.ESCAPE_REFINE_ITERS):
@@ -446,7 +454,7 @@ def ref_refine_escape(flow, t_good, y_good, h, sign, cap, forcing):
         if mid == lo or mid == hi:
             break
         taken += 1
-        dt = sign * mid
+        dt = -mid
         tables = flow.stage_tables(np.array([t_good]), dt)
         stages = tables if flow.const else [_row(tab, 0) for tab in tables]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -455,7 +463,7 @@ def ref_refine_escape(flow, t_good, y_good, h, sign, cap, forcing):
             hi = mid
         else:
             lo = mid
-    return t_good + sign * 0.5 * (lo + hi), taken
+    return t_good - 0.5 * (lo + hi), taken
 
 
 class TestEscapeRefinement:
@@ -468,47 +476,44 @@ class TestEscapeRefinement:
     LAM0 = (0.0, 0.0, 0.0, 1.0, 3.0, 10.0, 39.5, 0.5)
     AMP = (0.0, 0.3, 2.0, 0.5, 0.0, 1.0, 0.0, 4.0)
 
-    def _batch(self, kind, direction):
+    def _batch(self, kind):
         rng = np.random.default_rng(8)
         n, steps = 2, 40
         s = np.linspace(0.0, 1.0, steps + 1)[:, None, None]
         wave = 1.0 + 0.3 * np.sin(5.0 * s) if kind == "sampled" else 1.0
         g = rng.uniform(-1.0, 1.0, (n, n))
         # a negative definite state weight: the flow escapes downward
-        # backward in time and upward forward in time
+        # backward in time
         sys = StateSpace(A=0.3 * rng.uniform(-1.0, 1.0, (n, n)) * wave,
                          B=rng.uniform(0.5, 1.0, (n, 1)) * wave)
         cost = CostData(Q=-(g @ g.T + 0.5 * np.eye(n)), N=None, R=[[1.0]])
         grid = TimeGrid(T=1.0, steps=steps)
-        sign = -1.0 if direction == "final" else 1.0
-        lam0 = np.stack([sign * c * np.eye(n) for c in self.LAM0])
+        lam0 = np.stack([-c * np.eye(n) for c in self.LAM0])
         hvals = np.stack([draw_forcing(n, 6, 30 + i, a)
                           for i, a in enumerate(self.AMP)])
         bounds = switch_bounds(steps, 6)
         flow = _RicFlow(sys, cost, grid)
-        return flow, grid, lam0, hvals, bounds, sign
+        return flow, grid, lam0, hvals, bounds
 
     @pytest.mark.parametrize("iters", [DEFAULT_ITERS, 64])
-    @pytest.mark.parametrize("direction", ["final", "initial"])
     @pytest.mark.parametrize("kind", ["constant", "sampled"])
     def test_batched_refinement_matches_per_sample(self, monkeypatch, kind,
-                                                   direction, iters):
+                                                   iters):
         # with 64 bisection steps every bracket reaches float resolution,
         # so the samples stop early on mid == lo or hi, each at its own step
         monkeypatch.setattr(riccati, "ESCAPE_REFINE_ITERS", iters)
-        flow, grid, lam0, hvals, bounds, sign = self._batch(kind, direction)
+        flow, grid, lam0, hvals, bounds = self._batch(kind)
         lookup, _ = _node_forcing_lookup(hvals, bounds)
-        values, escaped, escape_time = _sweep(flow, lam0, grid, direction,
-                                              self.CAP, forcings=lookup)
+        values, escaped, escape_time = _sweep(flow, lam0, grid, self.CAP,
+                                              forcings=lookup)
         valid = np.isfinite(values).all(axis=(2, 3))
         escape_steps, taken = set(), []
         for i in np.nonzero(escaped)[0]:
             nodes = np.nonzero(valid[i])[0]
-            k = nodes[0] if direction == "final" else nodes[-1]
-            step = k - 1 if direction == "final" else k
+            k = nodes[0]  # the last good node, stepping backward
             want, used = ref_refine_escape(
-                flow, grid.times()[k], values[i, k][None], grid.h, sign,
-                self.CAP, lookup(step)[i:i + 1])
+                flow, grid.times()[k], values[i, k][None], grid.h, self.CAP,
+                lookup(k - 1)[i:i + 1])
             assert escape_time[i] == want
             escape_steps.add(nodes.size)
             taken.append(used)
@@ -517,8 +522,8 @@ class TestEscapeRefinement:
         # each sample swept alone gives the same result
         for i in range(lam0.shape[0]):
             solo_lookup, _ = _node_forcing_lookup(hvals[i:i + 1], bounds)
-            v1, e1, t1 = _sweep(flow, lam0[i:i + 1], grid, direction,
-                                self.CAP, forcings=solo_lookup)
+            v1, e1, t1 = _sweep(flow, lam0[i:i + 1], grid, self.CAP,
+                                forcings=solo_lookup)
             assert np.array_equal(values[i], v1[0], equal_nan=True)
             assert escaped[i] == e1[0]
             assert np.array_equal(escape_time[i:i + 1], t1, equal_nan=True)

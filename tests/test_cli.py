@@ -5,6 +5,7 @@ contract: exit codes, emitted JSON documents, CSV side files, stderr
 diagnostics, determinism, and conformance to the shipped JSON schemas.
 """
 
+import copy
 import json
 import math
 from pathlib import Path
@@ -220,6 +221,18 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert "lqconic" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cmd", ["lqr", "hinf"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_tol_flag_rejected(self, tmp_path, capsys, cmd,
+                                            value):
+        # the flag gets the check options.tol gets: at or below zero no
+        # eigenvalue passes the rank test and no bracket ever closes
+        doc = lqr_doc() if cmd == "lqr" else br_doc(steps=32)
+        rc, out, err = run(capsys, [cmd, write_doc(tmp_path, doc),
+                                    "--tol", value])
+        assert rc == 1 and out == ""
+        assert "--tol" in err
+
     def test_lqr_success(self, tmp_path, capsys):
         rc, out, _ = run(capsys, ["lqr", write_doc(tmp_path, lqr_doc())])
         assert rc == 0
@@ -410,6 +423,18 @@ class TestResultDocuments:
         assert abs(res["gamma_star"] - reference) < 0.02 * reference
         assert res["iterations"] > 0
 
+    def test_hinf_width_defaults_to_the_bisection(self, tmp_path, capsys):
+        # options.tol is the certificate tolerance, not the bracket width:
+        # without --tol the bisection's own width (1e-4) applies
+        doc = br_doc(steps=64)
+        doc["options"] = {"tol": 1e-9}
+        path = write_doc(tmp_path, doc)
+        default = json.loads(run(capsys, ["hinf", path])[1])
+        flagged = json.loads(run(capsys, ["hinf", path, "--tol", "1e-4"])[1])
+        for key in ("gamma_star", "iterations", "bracket"):
+            assert default[key] == flagged[key]
+        assert default["bracket"][1] - default["bracket"][0] <= 1e-4
+
 
 class TestCsvExport:
     def test_gain_and_dual_round_trip_bitwise(self, tmp_path, capsys):
@@ -588,6 +613,88 @@ class TestVerifyCommand:
         rc, _, err = run(capsys, ["verify", ppath, rpath])
         assert rc == 1
         assert "minus_infinity" in err
+
+
+def _bump(key):
+    def tamper(res):
+        res[key] += 1.0
+    return tamper
+
+
+def _flip(key):
+    def tamper(res):
+        res[key] = not res[key]
+    return tamper
+
+
+def _bump_mid_gain(res):
+    nodes = res["gain"]["nodes"]
+    mid = len(nodes) // 2
+    nodes[mid] = [v + 1.0 for v in nodes[mid]]
+
+
+def _zero_gains(res):
+    res["gain"]["nodes"] = [[0.0] * len(v) for v in res["gain"]["nodes"]]
+
+
+class TestVerifyMutations:
+    """Each field verify reads, tampered past its threshold, fails the
+    verification with exit 4, on every kind of result document."""
+
+    DOCS = {
+        "lqr": ("lqr", lqr_doc(steps=128)),
+        "stoch_lqr": ("slqr", slqr_doc(steps=128)),
+        "iqc_finite": ("iqc", iqc_doc(T=0.5, steps=128)),
+        "iqc_escaping": ("iqc", iqc_doc(steps=128)),
+        "passive": ("passivity", pr_doc(True, steps=128)),
+        "not_passive": ("passivity", pr_doc(False, steps=128)),
+    }
+    FINITE = ("lqr", "stoch_lqr", "iqc_finite", "passive")
+    ESCAPING = ("iqc_escaping", "not_passive")
+    # field -> (tampering, the documents that carry the field): escaping
+    # documents have no value and no gain, finite ones no escape time, and
+    # only the passivity documents a verdict
+    TAMPER = {
+        "optimal_value": (_bump("optimal_value"), FINITE),
+        "escape_time": (_bump("escape_time"), ESCAPING),
+        "gain_mid_node": (_bump_mid_gain, FINITE),
+        "gain_zeroed": (_zero_gains, FINITE),
+        "minus_infinity": (_flip("minus_infinity"), FINITE + ESCAPING),
+        "verdict": (_flip("verdict"), ("passive", "not_passive")),
+    }
+
+    @pytest.fixture(scope="class")
+    def solved(self, tmp_path_factory):
+        out = {}
+        for name, (cmd, doc) in self.DOCS.items():
+            tmp = tmp_path_factory.mktemp(name)
+            ppath, rpath = write_doc(tmp, doc), tmp / "result.json"
+            main([cmd, ppath, "--out", str(rpath)])
+            out[name] = (ppath, json.loads(rpath.read_text()))
+        return out
+
+    def _verify(self, tmp_path, capsys, ppath, res):
+        rpath = tmp_path / "tampered.json"
+        rpath.write_text(json.dumps(res))
+        return run(capsys, ["verify", ppath, str(rpath)])
+
+    @pytest.mark.parametrize("name", list(DOCS))
+    def test_untampered_document_passes(self, solved, tmp_path, capsys,
+                                        name):
+        ppath, res = solved[name]
+        rc, out, _ = self._verify(tmp_path, capsys, ppath, res)
+        assert rc == 0 and out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize("name,field", [
+        (name, field) for field, (_, names) in TAMPER.items()
+        for name in names])
+    def test_tampered_field_fails(self, solved, tmp_path, capsys, name,
+                                  field):
+        ppath, res = solved[name]
+        res = copy.deepcopy(res)
+        self.TAMPER[field][0](res)
+        rc, out, _ = self._verify(tmp_path, capsys, ppath, res)
+        assert rc == 4 and out.strip().endswith("FAIL")
 
 
 class TestSchemaConformance:

@@ -1,5 +1,5 @@
 """Primal covariance side: feedback gains, closed-loop propagation,
-objectives, dynamics/alignment residuals, rank-one extraction, Monte Carlo.
+objectives, dynamics/alignment residuals, Monte Carlo.
 
 Scalar ground truth (a=0, b=1, q=r=1, zero final value): the optimal gain
 is K(t) = tanh(1-t), the closed loop from x(0)=1 is
@@ -13,7 +13,6 @@ from lqconic import (
     Gain,
     LQR,
     ProblemSpec,
-    RankTooHigh,
     StateSpace,
     TimeGrid,
     alignment_residual,
@@ -23,7 +22,6 @@ from lqconic import (
     deterministic_covariance,
     dual_objective,
     eps_rank,
-    extract_rank_one_factor,
     gain_from_dual,
     monte_carlo_cost,
     primal_objective,
@@ -245,43 +243,6 @@ class TestAlignmentResidual:
         a = alignment_residual(sig, dre.lam, SYS, COST, qf, lambda_dot_mode="fd")
         b = alignment_residual(sig, dre.lam, SYS, COST, qf, lambda_dot_mode="dre")
         assert abs(a - b) <= 10.0 * grid.h ** 2
-
-
-class TestExtractRankOneFactor:
-    def test_hand_case(self):
-        z = extract_rank_one_factor([[4.0, 2.0], [2.0, 1.0]])
-        np.testing.assert_allclose(z, [2.0, 1.0], atol=1e-12)
-
-    def test_zero_matrix(self):
-        z = extract_rank_one_factor(np.zeros((3, 3)))
-        np.testing.assert_allclose(z, np.zeros(3))
-
-    def test_rank_two_rejected(self):
-        with pytest.raises(RankTooHigh):
-            extract_rank_one_factor(np.eye(2))
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(RankTooHigh):
-            extract_rank_one_factor([[1.0, 0.0], [0.0, -0.5]])
-
-    def test_sign_continuity_with_prev(self):
-        z = np.array([-2.0, 1.0])
-        got = extract_rank_one_factor(np.outer(z, z), prev=z)
-        np.testing.assert_allclose(got, z, atol=1e-12)
-        flipped = extract_rank_one_factor(np.outer(z, z), prev=-z)
-        np.testing.assert_allclose(flipped, -z, atol=1e-12)
-
-    def test_round_trip_along_trajectory(self):
-        grid, qf, dre = scalar_setup(steps=64)
-        gain = gain_from_dual(dre.lam, SYS, COST)
-        x, u = closed_loop_simulate(SYS, gain, [1.0], grid)
-        sig = deterministic_covariance(x, u, grid)
-        prev = None
-        for k in range(65):
-            prev = extract_rank_one_factor(sig.sigma.node(k), prev=prev)
-            z = np.array([x[k, 0], u[k, 0]])
-            assert np.allclose(prev, z, atol=1e-10) or \
-                np.allclose(prev, -z, atol=1e-10)
 
 
 class TestMonteCarloCost:

@@ -131,12 +131,13 @@ class TestFeasibility:
         assert cert.min_eig.min() > 1e-4  # forcing pushes M inside the cone
 
     def test_final_value_argument(self):
+        # the certificate's final condition is Lam(T) = 0, so the extremal
+        # from another final value fails it
         grid, qf = scalar_setup(steps=64)
         dre = solve_dre_final(SYS, COST, [[0.5]], grid)
-        ok = feasibility(dre.lam, SYS, qf, tol=1e-5, lambda_final=[[0.5]])
-        bad = feasibility(dre.lam, SYS, qf, tol=1e-5)
-        assert ok.boundary_ok
-        assert not bad.boundary_ok
+        cert = feasibility(dre.lam, SYS, qf, tol=1e-5)
+        assert not cert.boundary_ok
+        assert not cert.feasible
 
     def test_escaped_trajectory_rejected(self):
         grid = TimeGrid(T=2.0, steps=128)
@@ -148,14 +149,6 @@ class TestFeasibility:
         assert sol.escaped
         with pytest.raises(ValueError):
             feasibility(sol.lam, SYS, qf)
-
-    def test_with_factors_attaches_nodewise_factors(self):
-        grid, qf = scalar_setup(steps=32)
-        dre = solve_dre_final(SYS, COST, [[0.0]], grid)
-        cert = feasibility(dre.lam, SYS, qf, tol=1e-9,
-                           lambda_dot_mode="dre", with_factors=True)
-        assert cert.factor is not None and len(cert.factor) == 33
-        assert all(f.U.shape[1] == 1 for f in cert.factor)
 
 
 class TestExtremalFactorization:

@@ -99,11 +99,6 @@ class TestStateSpace:
         sys = StateSpace(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.5]])
         assert sys.D.shape == (1, 1)
 
-    def test_time_varying_flag(self):
-        samples = np.zeros((5, 1, 1))
-        sys = StateSpace(A=samples, B=[[1.0]])
-        assert sys.time_varying
-
     def test_ab_at_interpolates(self):
         g = TimeGrid(T=1.0, steps=4)
         asamp = np.linspace(0.0, 1.0, 5).reshape(5, 1, 1)

@@ -31,7 +31,7 @@ from lqconic.model import (CostData, LQR, ProblemSpec, StateSpace, TimeGrid,
                            ValidationError, apply_A_adj, apply_Aop, apply_E,
                            apply_E_adj, assemble_quadform)
 from lqconic.riccati import (MatTrajectory, sample_dri_solution,
-                             solve_dre_final, solve_dre_initial)
+                             solve_dre_final)
 from lqconic.symmat import eps_rank, trace_inner
 
 QUICK = settings(max_examples=25, deadline=None)
@@ -110,22 +110,6 @@ class TestRiccatiSignLaw:
         assert not sol.escaped
         for node in sol.lam.values:
             assert np.linalg.eigvalsh(node).min() >= -1e-10
-
-    @SOLVER
-    @given(data=st.data())
-    def test_initial_boundary_nsd(self, data):
-        n = data.draw(st.integers(1, 3))
-        m = data.draw(st.integers(1, 2))
-        a = draw_matrix(data, n, n)
-        b = draw_matrix(data, n, m)
-        g = draw_matrix(data, n, n, -1, 1)
-        cost = CostData(Q=g @ g.T, N=None, R=np.eye(m))
-        grid = TimeGrid(T=1.0, steps=96)
-        sol = solve_dre_initial(StateSpace(A=a, B=b), cost,
-                                np.zeros((n, n)), grid)
-        assert not sol.escaped
-        for node in sol.lam.values:
-            assert np.linalg.eigvalsh(node).max() <= 1e-10
 
 
 class TestCostMonotonicity:
@@ -214,10 +198,10 @@ class TestDescriptorConvergence:
             x, u = closed_loop_simulate(sys_, gain, np.array([1.0]), grid)
             sigma = deterministic_covariance(x, u, grid)
             res.append(descriptor_residual(sigma, sys_))
-        if res[1] > 1e-12:
-            assert res[0] / res[1] >= 3.0
-        else:
-            assert res[0] <= 1e-12
+        # below 1e-12 on both grids the residual is at the noise floor;
+        # otherwise halving the step must cut it about fourfold
+        if max(res) > 1e-12:
+            assert res[0] >= 3.0 * res[1]
 
 
 class TestSerializationRoundTrip:

@@ -2,7 +2,6 @@
 
 Known closed forms used as ground truth (scalar system a=0, b=1):
   q=+1, r=+1, zero final value:  lam(t) =  tanh(T - t)
-  q=+1, r=+1, zero initial value: lam(t) = -tanh(t)
   q=-1, r=+1, zero final value:  lam(t) = -tan(T - t), escapes at T - pi/2
 Scalar damped Lyapunov (f=-1, h=1, T=1): x(t) = (1 - exp(-2(1-t))) / 2.
 """
@@ -16,15 +15,12 @@ from lqconic import (
     StateSpace,
     TimeGrid,
     loewner_compare,
-    riccati_residual,
     sample_dri_solution,
-    sample_dri_solution_initial,
     solve_dre_final,
-    solve_dre_initial,
     solve_lyapunov_final,
-    transition_matrix,
 )
 from lqconic import riccati
+from lqconic._num import propagate
 from lqconic.analyzers import dri_cloud, scalar_preset
 from lqconic.model import effective_cost
 from lqconic.riccati import draw_forcing, forcing_amplitude, switch_bounds
@@ -40,39 +36,40 @@ def scalar_cost(q=1.0, r=1.0):
     return CostData(Q=[[q]], N=None, R=[[r]])
 
 
+def transition(f, grid):
+    """Phi(t_k, 0) at every node for a constant F: dPhi/dt = F Phi from the
+    identity, stepped by the one linear propagation."""
+    f = np.asarray(f, dtype=float)
+    return propagate(lambda d, y: d[0] @ y, lambda t, dt: [(f,)] * 3,
+                     np.eye(f.shape[0]), grid)
+
+
 class TestTransitionMatrix:
     def test_zero_flow_is_identity(self):
         g = TimeGrid(T=1.0, steps=16)
-        phi = transition_matrix(np.zeros((2, 2)), g)
-        np.testing.assert_allclose(phi(1.0, 0.0), np.eye(2), atol=1e-14)
+        phi = transition(np.zeros((2, 2)), g)
+        np.testing.assert_allclose(phi[-1], np.eye(2), atol=1e-14)
 
     def test_scalar_exponential(self):
         g = TimeGrid(T=1.0, steps=128)
-        phi = transition_matrix(np.array([[-2.0]]), g)
-        assert phi(1.0, 0.0)[0, 0] == pytest.approx(np.exp(-2.0), abs=1e-9)
+        phi = transition(np.array([[-2.0]]), g)
+        assert phi[-1][0, 0] == pytest.approx(np.exp(-2.0), abs=1e-9)
 
     def test_matches_matrix_exponential(self):
         rng = np.random.default_rng(10)
         f = rng.standard_normal((3, 3))
         g = TimeGrid(T=1.0, steps=200)
-        phi = transition_matrix(f, g)
-        np.testing.assert_allclose(phi(1.0, 0.0), expm(f), atol=1e-8)
-        np.testing.assert_allclose(phi(0.5, 0.0), expm(0.5 * f), atol=1e-8)
+        phi = transition(f, g)
+        np.testing.assert_allclose(phi[-1], expm(f), atol=1e-8)
+        np.testing.assert_allclose(phi[100], expm(0.5 * f), atol=1e-8)
 
     def test_composition(self):
+        # for a constant F, Phi(1, 0.5) = Phi(0.5, 0)
         rng = np.random.default_rng(11)
         f = rng.standard_normal((2, 2))
         g = TimeGrid(T=1.0, steps=100)
-        phi = transition_matrix(f, g)
-        lhs = phi(1.0, 0.0)
-        rhs = phi(1.0, 0.5) @ phi(0.5, 0.0)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-    def test_off_grid_time_rejected(self):
-        g = TimeGrid(T=1.0, steps=10)
-        phi = transition_matrix(np.zeros((1, 1)), g)
-        with pytest.raises(ValueError):
-            phi(0.55, 0.0)
+        phi = transition(f, g)
+        np.testing.assert_allclose(phi[-1], phi[50] @ phi[50], atol=1e-10)
 
 
 class TestLyapunovFinal:
@@ -164,36 +161,6 @@ class TestDreFinal:
         assert r2 < r1
         assert r1 / r2 >= 3.5  # differencing noise floors the RK4 order at 2
 
-    def test_direction_tag(self):
-        g = TimeGrid(T=1.0, steps=16)
-        sol = solve_dre_final(scalar_system(), scalar_cost(), [[0.0]], g)
-        assert sol.direction == "final"
-
-
-class TestDreInitial:
-    def test_forward_branch_sign(self):
-        # forward sweep from zero picks the decreasing branch
-        g = TimeGrid(T=1.0, steps=512)
-        sol = solve_dre_initial(scalar_system(), scalar_cost(), [[0.0]], g)
-        assert not sol.escaped
-        ref = reference_dre([[0.0]], [[1.0]], [[1.0]], None, [[1.0]],
-                            [[0.0]], 1.0, "initial")
-        err = max(abs(sol.lam.node(k)[0, 0] - ref(t)[0, 0])
-                  for k, t in enumerate(g.times()))
-        assert err <= 1e-8
-        np.testing.assert_allclose(sol.lam.values[:, 0, 0],
-                                   -np.tanh(g.times()), atol=1e-8)
-
-    def test_equilibrium_initial_value(self):
-        g = TimeGrid(T=1.0, steps=64)
-        sol = solve_dre_initial(scalar_system(), scalar_cost(), [[-1.0]], g)
-        np.testing.assert_allclose(sol.lam.values[:, 0, 0], -1.0, atol=1e-12)
-
-    def test_direction_tag(self):
-        g = TimeGrid(T=1.0, steps=16)
-        sol = solve_dre_initial(scalar_system(), scalar_cost(), [[0.0]], g)
-        assert sol.direction == "initial"
-
 
 class TestForcingDraws:
     def test_amplitude_scales_with_state_weight(self):
@@ -236,25 +203,22 @@ class TestSampleDri:
             v = loewner_compare(dre.as_trajectory(), s.lam)
             assert v.margin_ab >= -1e-7
 
-    def test_samples_above_initial_extremal(self):
-        g = TimeGrid(T=1.0, steps=256)
-        dre = solve_dre_initial(scalar_system(), scalar_cost(), [[0.0]], g)
-        for seed in range(10):
-            s = sample_dri_solution_initial(scalar_system(), scalar_cost(),
-                                            [[0.0]], g, seed=seed)
-            v = loewner_compare(s.lam, dre.as_trajectory())
-            assert v.margin_ab >= -1e-7
-
     def test_residual_matches_stored_forcing(self):
         g = TimeGrid(T=1.0, steps=256)
         s = sample_dri_solution(scalar_system(), scalar_cost(), [[0.0]], g,
                                 seed=5)
-        res = riccati_residual(s.lam, scalar_system(), scalar_cost())
+        # the Riccati operator along the sample, node by node
+        res = np.empty_like(s.lam.values)
+        flow = riccati._RicFlow(scalar_system(), scalar_cost(), g)
+        nodes = np.arange(g.steps + 1)
+        for block, r in riccati._operator_blocks(flow, g, nodes,
+                                                 s.lam.values):
+            res[block] = r
         bounds = switch_bounds(g.steps, 10)
         clean = np.ones(g.steps + 1, dtype=bool)
         for b in bounds[1:-1]:
             clean[max(0, b - 2):min(g.steps, b + 2) + 1] = False
-        diff = np.abs(res.values - s.forcing.values)[clean]
+        diff = np.abs(res - s.forcing.values)[clean]
         scale = 1.0 + np.abs(s.forcing.values).max()
         assert np.nanmax(diff) <= 1e-3 * scale
         assert s.residual_max <= 1e-3 * scale
@@ -311,19 +275,22 @@ class TestLoewnerCompare:
 
 
 class TestRiccatiResidual:
+    """The finite-difference residual sweep, which needs no integrator."""
+
     def test_extremal_residual_small(self):
         g = TimeGrid(T=1.0, steps=256)
         sol = solve_dre_final(scalar_system(), scalar_cost(), [[0.0]], g)
-        res = riccati_residual(sol.lam, scalar_system(), scalar_cost())
-        assert np.nanmax(np.abs(res.values)) <= 1e-4
+        flow = riccati._RicFlow(scalar_system(), scalar_cost(), g)
+        res = riccati._residual_sweep(sol.lam.values, flow, g)
+        assert res == sol.residual_max
+        assert res <= 1e-4
 
     def test_non_extremal_residual_large(self):
-        from lqconic import MatTrajectory
         g = TimeGrid(T=1.0, steps=64)
-        flat = MatTrajectory(g, np.full((65, 1, 1), 0.5))
-        res = riccati_residual(flat, scalar_system(), scalar_cost())
+        flow = riccati._RicFlow(scalar_system(), scalar_cost(), g)
+        res = riccati._residual_sweep(np.full((65, 1, 1), 0.5), flow, g)
         # constant 0.5 leaves q - lam^2 = 0.75 at every node
-        np.testing.assert_allclose(res.values[:, 0, 0], 0.75, atol=1e-10)
+        assert res == pytest.approx(0.75, abs=1e-10)
 
 
 def eigvalsh_sigma_max(y, cap=None):
