@@ -11,10 +11,9 @@ import numpy as np
 NODE_BLOCK = 256
 
 
-def node_blocks(count: int):
-    """Slices covering range(count) in consecutive blocks of NODE_BLOCK."""
-    return [slice(s, min(s + NODE_BLOCK, count))
-            for s in range(0, count, NODE_BLOCK)]
+def node_blocks(count: int, size: int = NODE_BLOCK):
+    """Slices covering range(count) in consecutive blocks of size."""
+    return [slice(s, min(s + size, count)) for s in range(0, count, size)]
 
 
 def as_matrix(value) -> np.ndarray:

@@ -29,10 +29,10 @@ from .dlmi import dual_objective, feasibility
 from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     ProblemSpec, StateSpace, StochLQR, TimeGrid,
                     assemble_quadform, coeff_on, effective_cost, validate)
-from .riccati import (ESCAPE_CAP, DreSolution, DriSample, MatTrajectory,
-                      _dre_solution, _node_forcing_lookup, _RicFlow, _sweep,
-                      draw_forcing, forcing_amplitude, loewner_compare,
-                      solve_dre_final, switch_bounds)
+from .riccati import (DreSolution, DriSample, MatTrajectory, _dre_solution,
+                      _RicFlow, _step_intervals, _sweep, draw_forcing,
+                      forcing_amplitude, loewner_compare, solve_dre_final,
+                      switch_bounds)
 
 __all__ = [
     "Certificate",
@@ -104,10 +104,11 @@ class NormResult:
     """Bisection output for the finite-horizon induced norm.
 
     gamma_star is the smallest bracketed gain that passes the boundedness
-    test; the true critical gain lies in [bracket lo, hi]. Near the critical
-    value the underlying test itself is grid-limited (escape just beyond the
-    horizon is invisible at a finite step), so gamma_star carries the grid's
-    accuracy, not machine precision.
+    test; the true critical gain lies in [bracket lo, hi]. The test finds an
+    escape anywhere inside the horizon, one within the last step included,
+    as a singular denominator of the step's Hamiltonian map, so near the
+    critical gain it errs only by the map's fourth-order truncation and the
+    accuracy of gamma_star is set by the bracket width.
     """
 
     gamma_star: float
@@ -217,8 +218,7 @@ _ESCAPE_POLICY = {
 }
 
 
-def analyze(spec: ProblemSpec, tol: float = 1e-9,
-            escape_cap: float = ESCAPE_CAP) -> Certificate:
+def analyze(spec: ProblemSpec, tol: float = 1e-9) -> Certificate:
     """The one analyzer route: validate, solve the backward Riccati flow
     from a zero final value, then certify a bounded flow or apply the
     variant's escape policy. Verdict variants (bounded and positive real)
@@ -226,7 +226,7 @@ def analyze(spec: ProblemSpec, tol: float = 1e-9,
     validate(spec)
     cost = effective_cost(spec)
     dre = solve_dre_final(spec.sys, cost, np.zeros((spec.sys.n, spec.sys.n)),
-                          spec.grid, escape_cap=escape_cap)
+                          spec.grid)
     tag, policy = _ESCAPE_POLICY[type(spec.variant)]
     judged = policy == "verdict"
     if not dre.escaped:
@@ -256,27 +256,24 @@ def analyze(spec: ProblemSpec, tol: float = 1e-9,
     )
 
 
-def solve_lqr(spec: ProblemSpec, tol: float = 1e-9,
-              escape_cap: float = ESCAPE_CAP) -> Certificate:
+def solve_lqr(spec: ProblemSpec, tol: float = 1e-9) -> Certificate:
     """Deterministic regulator: optimal value x_i^T Lam(0) x_i with the
     feedback gain that attains it; the data's sign hypotheses make escape
     impossible, so escape is reported as a hard error."""
-    return analyze(spec, tol, escape_cap)
+    return analyze(spec, tol)
 
 
-def solve_stoch_lqr(spec: ProblemSpec, tol: float = 1e-9,
-                    escape_cap: float = ESCAPE_CAP) -> Certificate:
+def solve_stoch_lqr(spec: ProblemSpec, tol: float = 1e-9) -> Certificate:
     """Stochastic regulator: value tr(Lam(0) X_i) + integral of tr(Lam W);
     the gain equals the deterministic one (it never depends on X_i or W)."""
-    return analyze(spec, tol, escape_cap)
+    return analyze(spec, tol)
 
 
-def iqc_infimum(spec: ProblemSpec, tol: float = 1e-9,
-                escape_cap: float = ESCAPE_CAP) -> Certificate:
+def iqc_infimum(spec: ProblemSpec, tol: float = 1e-9) -> Certificate:
     """Infimum of a sign-indefinite quadratic form over the trajectories:
     finite (with certificate) when the Riccati flow stays bounded, minus
     infinity (with the escape time) when it does not."""
-    return analyze(spec, tol, escape_cap)
+    return analyze(spec, tol)
 
 
 def bounded_real_test(sys: StateSpace, gamma: float, T: float,
@@ -342,7 +339,7 @@ def hinf_norm_bisection(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
 
 
 def passivity_test(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
-                   tol: float = 1e-9, escape_cap: float = ESCAPE_CAP):
+                   tol: float = 1e-9):
     """Finite-horizon passivity of the input/output inner product: holds iff
     the Riccati flow of the half-sum quadratic form stays bounded. Returns
     (verdict, Certificate)."""
@@ -355,7 +352,7 @@ def passivity_test(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
             "D + D^T must be strictly positive definite for the "
             "finite-horizon passivity test")
     cert = analyze(ProblemSpec(sys=sys, grid=TimeGrid(T=T, steps=steps),
-                               variant=PositiveReal()), tol, escape_cap)
+                               variant=PositiveReal()), tol)
     return cert.verdict, cert
 
 
@@ -374,15 +371,14 @@ def scalar_preset(q_sign: int, m_sign: int, T: float = 2.0,
 
 def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
               switch_points: int = 10, seed: int = 0,
-              tol: float = 1e-7,
-              escape_cap: float = ESCAPE_CAP) -> DriCloudReport:
+              tol: float = 1e-7) -> DriCloudReport:
     """Sample a cloud of forced inequality solutions against the equation's
     extremal and report whether the extremal dominates every sample at every
     shared node.
 
     One batched sweep integrates the extremal, as sample 0 with a zero
     forcing (adding it changes no value), and the forced samples behind it,
-    all under the same escape cap. The extremal reproduces solve_dre_final
+    all under the same escape test. The extremal reproduces solve_dre_final
     bitwise, residual included, and sample i reproduces sample_dri_solution
     with seed+i bitwise. Per-sample residual sweeps are skipped here (the
     cloud's contract is the ordering, not integration accuracy).
@@ -397,12 +393,12 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
     hvals = np.zeros((n_samples + 1, switch_points, n, n))
     for i in range(n_samples):
         hvals[i + 1] = draw_forcing(n, switch_points, seed + i, amp)
-    bounds = switch_bounds(grid.steps, switch_points)
-    lookup, step_to_interval = _node_forcing_lookup(hvals, bounds)
+    step_to_interval = _step_intervals(switch_bounds(grid.steps,
+                                                     switch_points))
     flow = _RicFlow(sys, cost, grid)
     lam0 = np.zeros((n_samples + 1, n, n))
-    values, escaped, escape_time = _sweep(flow, lam0, grid, escape_cap,
-                                          forcings=lookup)
+    values, escaped, escape_time = _sweep(flow, lam0, grid,
+                                          (hvals, step_to_interval))
     dre = _dre_solution(flow, grid, values[0], escaped[0], escape_time[0])
 
     samples: List[DriSample] = []

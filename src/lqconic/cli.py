@@ -28,7 +28,6 @@ from .analyzers import (BracketFailure, Certificate, DNotStrictlyPassive,
 from .covariance import Gain
 from .model import (BoundedReal, GeneralIQC, LQR, PositiveReal, ProblemSpec,
                     CostData, StateSpace, StochLQR, TimeGrid, ValidationError)
-from .riccati import ESCAPE_CAP
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -87,6 +86,15 @@ def _obj(doc, key, path, required=True):
     if not isinstance(val, dict):
         raise DocumentError(f"{path}.{key}", "must be a JSON object")
     return val
+
+
+def _known_keys(doc, path, allowed):
+    """Reject a key the problem schema does not allow in this object, so
+    that a misspelled or retired key fails instead of being ignored."""
+    for key in doc:
+        if key not in allowed:
+            raise DocumentError(f"{path}.{key}", "unknown key; allowed: "
+                                + ", ".join(allowed))
 
 
 def _num(doc, key, path, required=True, default=None):
@@ -160,12 +168,15 @@ def parse_problem(doc, steps_override=None, T_override=None):
     """
     if not isinstance(doc, dict):
         raise DocumentError("$", "document root must be a JSON object")
+    _known_keys(doc, "$", ("schema_version", "system", "horizon", "variant",
+                           "options"))
     sv = doc.get("schema_version")
     if sv != SCHEMA_VERSION:
         raise DocumentError("schema_version",
                             f"expected {SCHEMA_VERSION!r}, got {sv!r}")
 
     system = _obj(doc, "system", "$")
+    _known_keys(system, "system", ("A", "B", "C", "D"))
     try:
         sys_obj = StateSpace(
             A=_matrix(system, "A", "system"),
@@ -177,6 +188,7 @@ def parse_problem(doc, steps_override=None, T_override=None):
         raise DocumentError("system", str(e)) from e
 
     horizon = _obj(doc, "horizon", "$", required=False) or {}
+    _known_keys(horizon, "horizon", ("T", "steps"))
     T = T_override if T_override is not None else _num(
         horizon, "T", "horizon", required=T_override is None)
     steps_doc = horizon.get("steps")
@@ -192,18 +204,14 @@ def parse_problem(doc, steps_override=None, T_override=None):
     variant = _variant_from_doc(_obj(doc, "variant", "$"))
 
     opts_doc = _obj(doc, "options", "$", required=False) or {}
+    _known_keys(opts_doc, "options", ("tol", "seed"))
     options = {
         "tol": _num(opts_doc, "tol", "options", required=False, default=1e-9),
-        "escape_cap": _num(opts_doc, "escape_cap", "options",
-                           required=False, default=ESCAPE_CAP),
         "seed": _num(opts_doc, "seed", "options", required=False, default=0),
     }
-    # the schema requires both positive; a cap at or below zero would make
-    # every solve escape, a verdict on any data
-    for key in ("tol", "escape_cap"):
-        if not options[key] > 0:
-            raise DocumentError(f"options.{key}",
-                                f"must be positive, got {options[key]!r}")
+    if not options["tol"] > 0:
+        raise DocumentError("options.tol",
+                            f"must be positive, got {options['tol']!r}")
     # the schema's integer >= 0; a fractional seed must not be truncated
     if not (options["seed"].is_integer() and options["seed"] >= 0):
         raise DocumentError("options.seed", "must be a nonnegative integer, "
@@ -375,7 +383,7 @@ def cmd_certificate(args):
     _, expected, wrong, run = _CERTIFICATE_COMMANDS[args.command]
     doc, spec, options = _load_problem(args, expected, wrong)
     t0 = time.perf_counter()
-    cert = run(spec, tol=options["tol"], escape_cap=options["escape_cap"])
+    cert = run(spec, tol=options["tol"])
     timing = time.perf_counter() - t0
     result = certificate_document(cert, problem_sha256(doc), timing)
     _emit(result, args.out)
@@ -413,7 +421,7 @@ def cmd_dri_cloud(args):
         "dri-cloud needs a cost-bearing (lqr or general_iqc) problem")
     seed = args.seed if args.seed is not None else options["seed"]
     report = dri_cloud(spec, n_samples=args.samples, switch_points=10,
-                       seed=seed, escape_cap=options["escape_cap"])
+                       seed=seed)
 
     csv_dir = Path(args.csv_dir)
     csv_dir.mkdir(parents=True, exist_ok=True)

@@ -4,21 +4,23 @@ Backward (final-value) integration of the quadratic matrix flow
 
     d(Lam)/dt + A^T Lam + Lam A - (N + Lam B) R^{-1} (N + Lam B)^T + Q = H
 
-by the fixed-step RK4 of `_num` on a uniform grid. H=0 gives the Riccati
-equation whose final-value solution is the maximal solution of the matching
-differential matrix inequality; H is a positive semidefinite forcing used
-to sample the inequality's other solutions. Solutions may escape in finite
-time: escape is an outcome, not an error, detected by a cap on the largest
-singular value and refined by bisecting the last step. The cap test is
-screened by the Frobenius norm, an upper bound on the largest singular
-value, so eigvalsh runs only on samples that may exceed the cap; the
-verdicts are those of eigvalsh on every sample.
+on a uniform grid. H=0 gives the Riccati equation whose final-value
+solution is the maximal solution of the matching differential matrix
+inequality; H is a positive semidefinite forcing used to sample the
+inequality's other solutions. By Radon's lemma the flow is the Moebius
+image Lam = Y X^{-1} of a linear (Hamiltonian) flow of [X; Y], so each
+backward step applies the RK4 map M of that flow (built batched by the
+`_num` stepper) as Lam <- (M21 + M22 Lam)(M11 + M12 Lam)^{-1}. Solutions
+may escape in finite time: escape is an outcome, not an error, and it is
+where the denominator X = M11 + M12 Lam turns singular. It is detected on
+the step where X does, and its time refined by bisecting the partial step
+with the same test; no norm cap and no step-size dependence beyond the
+RK4 error are involved.
 
-A sweep integrates a batch of samples. A sample that exceeds the cap leaves
-the batch with its last good state, so later steps touch only the samples
-still bounded; after the sweep the escapes of all samples are refined
-together, in one bisection vectorized over the samples. Each sample's
-values and escape time are those of a sweep of that sample alone.
+A sweep integrates a batch of samples; one that escapes leaves the batch,
+and after the sweep the escapes of all samples are refined together in
+one vectorized bisection. Each sample's values and escape time are those
+of a sweep of that sample alone.
 
 Node-sampled coefficients are tabulated at the RK4 stage times one block of
 NODE_BLOCK steps at a time, not interpolated and inverted at every stage;
@@ -36,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import (_row, as_matrix, fd_derivative, node_blocks, propagate,
-                   rk4_step)
+from ._num import (NODE_BLOCK, as_matrix, fd_derivative, node_blocks,
+                   propagate, rk4_step)
 from .model import CostData, StateSpace, TimeGrid, coeff_at, coeff_on
 
 __all__ = [
@@ -51,9 +53,6 @@ __all__ = [
     "loewner_compare",
     "forcing_amplitude",
 ]
-
-ESCAPE_CAP = 1e9
-ESCAPE_REFINE_ITERS = 40
 
 
 class MatTrajectory:
@@ -139,17 +138,34 @@ def _ric_data(A, B, Q, N, R):
             np.linalg.inv(R))
 
 
-def _ric_rhs(data, lam: np.ndarray, forcing=None) -> np.ndarray:
+def _ric_rhs(data, lam: np.ndarray) -> np.ndarray:
     """Riccati time derivative of a stack of solutions; the data broadcasts
     against the stack (one set for all, or one per solution)."""
     At, B, Q, N, Rinv = data
     lin = np.matmul(At, lam)
     shifted = N + np.matmul(lam, B)
     quad = np.matmul(np.matmul(shifted, Rinv), shifted.swapaxes(-1, -2))
-    out = quad - lin - lin.swapaxes(-1, -2) - Q
-    if forcing is not None:
-        out = out + forcing
-    return out
+    return quad - lin - lin.swapaxes(-1, -2) - Q
+
+
+def _hamiltonian(data, forcing=0.0) -> np.ndarray:
+    """Matrix F of the linear flow d/dt [X; Y] = F [X; Y] whose solutions
+    give the forced Riccati flow as Lam = Y X^{-1} (Radon's lemma):
+
+        F = [[A - B R^{-1} N^T,         -B R^{-1} B^T        ],
+             [-(Q - N R^{-1} N^T - H),  -(A^T - N R^{-1} B^T)]].
+
+    Stacks in the data and in the forcing H broadcast against each other.
+    """
+    At, B, Q, N, Rinv = data
+    BRi, NRi = np.matmul(B, Rinv), np.matmul(N, Rinv)
+    Bt, Nt = B.swapaxes(-1, -2), N.swapaxes(-1, -2)
+    blocks = np.broadcast_arrays(At.swapaxes(-1, -2) - np.matmul(BRi, Nt),
+                                 -np.matmul(BRi, Bt),
+                                 np.matmul(NRi, Nt) - Q + forcing,
+                                 np.matmul(NRi, Bt) - At)
+    return np.concatenate([np.concatenate(blocks[:2], axis=-1),
+                           np.concatenate(blocks[2:], axis=-1)], axis=-2)
 
 
 class _RicFlow:
@@ -174,90 +190,69 @@ class _RicFlow:
         return _ric_data(*(coeff_on(c, times, g) for c in (
             self.sys.A, self.sys.B, self.cost.Q, self.cost.N, self.cost.R)))
 
-    def stage_tables(self, t, dt: float):
-        """Tables at the RK4 stage times t, t + dt/2 and t + dt."""
-        if self.const:
-            return (self._data,) * 3
-        return tuple(self.table(s) for s in (t, t + 0.5 * dt, t + dt))
+
+def _step_maps(flow: _RicFlow, t, dt, forcing=0.0) -> np.ndarray:
+    """RK4 maps M, [X; Y](t + dt) = M [X; Y](t), of the Hamiltonian flow
+    over steps of size dt (a number, or one per time) from the times t, one
+    per time (for sampled data) and per forcing value broadcast against."""
+    if flow.const:  # one Hamiltonian serves all three stage times
+        stages = [_hamiltonian(flow.table(t), forcing)] * 3
+    else:
+        stages = [_hamiltonian(flow.table(s), forcing)
+                  for s in (t, t + 0.5 * dt, t + dt)]
+    return rk4_step(np.matmul, stages, np.eye(stages[0].shape[-1]),
+                    np.asarray(dt)[..., None, None])
 
 
-def _rk4_step(stages, y: np.ndarray, dt, forcing):
-    """One RK4 step of a stack of Riccati flows, kept symmetric."""
-    out = rk4_step(lambda d, lam: _ric_rhs(d, lam, forcing), stages, y, dt)
-    return 0.5 * (out + out.transpose(0, 2, 1))
+def _past_singular(d: np.ndarray) -> np.ndarray:
+    """Whether each step denominator X = M11 + M12 Lam (S, n, n) passed a
+    singular matrix on its way from I: det X <= 0 or non-finite, or a real
+    eigenvalue <= 0 (a pair crossing zero keeps det X > 0), computed only
+    where ||X - I||_F >= 1, since nearer I all lie within 1 of 1."""
+    det = np.linalg.det(d)
+    out = ~((det > 0.0) & (det < np.inf))
+    off = d - np.eye(d.shape[-1])
+    far = ~out & ~(np.einsum("sij,sij->s", off, off) < 1.0)
+    if far.any():
+        ev = np.linalg.eigvals(d[far])
+        out[far] = ((ev.imag == 0.0) & (ev.real <= 0.0)).any(axis=1)
+    return out
 
 
-# Relative slack of the Frobenius pre-screen: far above the rounding of
-# either norm, so a sample the screen clears is below the cap by eigvalsh too.
-_SCREEN_SLACK = 1e-9
+def _refine_escape(flow, t_good, y_good, h, forcing):
+    """Bisect, per sample, the size of the backward step from its last good
+    node at which the step's denominator first turns singular.
 
-
-def _batch_sigma_max(y: np.ndarray, cap: float) -> np.ndarray:
-    """Per-sample norm for the escape test ``norm > cap``.
-
-    The Frobenius norm bounds the largest singular value from above, so
-    eigvalsh runs only on samples whose Frobenius norm reaches the cap; the
-    others report their Frobenius norm, which is below it. The verdict is
-    the eigvalsh verdict on every sample. Non-finite samples report inf.
-    """
-    norms = np.sqrt(np.einsum("sij,sij->s", y, y))
-    check = ~(norms <= cap * (1.0 - _SCREEN_SLACK))  # NaN included
-    if check.any():
-        sub = y[check]
-        finite = np.isfinite(sub).all(axis=(1, 2))
-        sigma = np.full(sub.shape[0], np.inf)
-        if finite.any():
-            sigma[finite] = np.abs(np.linalg.eigvalsh(sub[finite])).max(axis=1)
-        norms[check] = sigma
-    return norms
-
-
-def _refine_escape(flow, t_good, y_good, h, cap, forcing):
-    """Bisect, per sample, the size of the backward step at which one RK4
-    step from its last good state first exceeds the cap.
-
-    t_good (E,), y_good (E, n, n) and forcing ((E, n, n) or None) hold each
+    t_good (E,), y_good (E, n, n) and forcing ((E, n, n) or 0) hold each
     escaped sample's last good node and the forcing of the step it failed.
-    All samples bisect together; a sample leaves once the midpoint no longer
-    splits its bracket. Returns the escape times (E,).
+    All samples bisect together until no bracket splits; returns (E,) times.
     """
-    lo_all, hi_all = np.zeros(t_good.shape), np.full(t_good.shape, h)
-    # the samples still bisecting, with their brackets and step data
-    idx, lo, hi = np.arange(t_good.size), lo_all.copy(), hi_all.copy()
-    t, y, f = t_good, y_good, forcing
-    for _ in range(ESCAPE_REFINE_ITERS):
+    n = y_good.shape[-1]
+    lo, hi = np.zeros(t_good.shape), np.full(t_good.shape, h)
+    while True:
         mid = 0.5 * (lo + hi)
         split = (mid != lo) & (mid != hi)
-        if not split.all():
-            lo_all[idx], hi_all[idx] = lo, hi
-            idx, lo, hi, mid, t, y = (a[split]
-                                      for a in (idx, lo, hi, mid, t, y))
-            f = f[split] if f is not None else None
-            if idx.size == 0:
-                break
-        dt = -mid
-        stages = flow.stage_tables(t, dt)
-        with np.errstate(over="ignore", invalid="ignore"):
-            trial = _rk4_step(stages, y, dt[:, None, None], f)
-        over = _batch_sigma_max(trial, cap) > cap
-        hi = np.where(over, mid, hi)
-        lo = np.where(over, lo, mid)
-    lo_all[idx], hi_all[idx] = lo, hi
-    return t_good - 0.5 * (lo_all + hi_all)
+        if not split.any():
+            return t_good - mid
+        m = _step_maps(flow, t_good, -mid, forcing)
+        over = _past_singular(m[:, :n, :n] + np.matmul(m[:, :n, n:], y_good))
+        hi = np.where(split & over, mid, hi)
+        lo = np.where(split & ~over, mid, lo)
 
 
-def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, cap: float,
-           forcings=None):
+def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, forcing=None):
     """Integrate a batch of Riccati flows backward across the grid from
     their final values lam0 (S, n, n).
 
-    forcings: None, or per-step forcing lookup ``forcings(step_index)``
-    returning a (S, n, n) array for the step between nodes step_index and
-    step_index+1. Sampled coefficients are tabulated at the RK4 stage times
-    one block of steps at a time. Only the samples still below the cap are
-    stepped: a sample that exceeds it leaves the batch, and the sweep ends
-    when none is left. The escape times of all escaped samples are refined
-    together after the sweep, from the last good state each one kept.
+    forcing: None, or (values (S, P, n, n), interval (K,)): each sample's
+    forcing on P intervals and the interval of each step (entry k for the
+    step between nodes k and k+1). The step maps are built batched: one for constant
+    unforced data, one per sample and interval for constant forced data,
+    and for sampled data one per step (and sample, if forced), at most
+    NODE_BLOCK maps at a time. A sample whose denominator turns singular
+    leaves the batch with its last good state, and the sweep ends when none
+    is left. The escape times of all escaped samples are refined together
+    after the sweep.
 
     Returns (values (S, K+1, n, n) with NaN beyond escape, escaped (S,),
     escape_time (S,)).
@@ -267,56 +262,57 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, cap: float,
     h = grid.h
     times = grid.times()
     values = np.full((s, k_steps + 1, n, n), np.nan)
-    escaped = np.zeros(s, dtype=bool)
     escape_time = np.full(s, np.nan)
+    last_good = np.full(s, -1)  # node each escaped sample last reached
     step_order = np.arange(k_steps, 0, -1)  # step k runs from node k to k-1
+    forced = forcing is not None
+    hvals, interval = forcing if forced else (0.0, None)
+    if flow.const:
+        maps = _step_maps(flow, times[-1], -h, hvals)
+    span = max(1, NODE_BLOCK // s) if forced and not flow.const else \
+        NODE_BLOCK
 
     y = 0.5 * (lam0 + lam0.transpose(0, 2, 1))
     values[:, k_steps] = y
     live = np.arange(s)
-    # per step with escapes: (samples, time, last good states, forcings)
-    blown = []
-
-    for block in node_blocks(k_steps):
+    for block in node_blocks(k_steps, span):
         ks = step_order[block]
-        tables = flow.stage_tables(times[ks], -h)
+        if not flow.const:
+            maps = _step_maps(flow, times[ks], -h,
+                              hvals[:, interval[ks - 1]] if forced else 0.0)
         for j, k in enumerate(ks.tolist()):
-            forcing = None if forcings is None else forcings(k - 1)[live]
-            stages = tables if flow.const else [_row(tab, j) for tab in tables]
-            with np.errstate(over="ignore", invalid="ignore"):
-                y_new = _rk4_step(stages, y, -h, forcing)
-            blew = _batch_sigma_max(y_new, cap) > cap
-            if blew.any():
-                blown.append((live[blew], times[k], y[blew],
-                              None if forcing is None else forcing[blew]))
-                live, y_new = live[~blew], y_new[~blew]
+            if forced:
+                m = maps[live, interval[k - 1] if flow.const else j]
+            else:
+                m = maps if flow.const else maps[j]
+            z = m[..., :n] + np.matmul(m[..., n:], y)
+            d, num = z[:, :n], z[:, n:]
+            over = _past_singular(d)
+            if over.any():
+                last_good[live[over]] = k
+                keep = ~over
+                live, d, num = live[keep], d[keep], num[keep]
                 if live.size == 0:
                     break
-            values[live, k - 1] = y_new
-            y = y_new
+            y = np.linalg.solve(d.swapaxes(-1, -2), num.swapaxes(-1, -2))
+            y = 0.5 * (y + y.swapaxes(-1, -2))
+            values[live, k - 1] = y
         if live.size == 0:
             break
 
-    if blown:
-        idx = np.concatenate([b[0] for b in blown])
-        t_good = np.concatenate([np.full(b[0].size, b[1]) for b in blown])
-        y_good = np.concatenate([b[2] for b in blown])
-        f_good = None if forcings is None else \
-            np.concatenate([b[3] for b in blown])
-        escaped[idx] = True
-        escape_time[idx] = _refine_escape(flow, t_good, y_good, h, cap, f_good)
+    escaped = last_good >= 0
+    if escaped.any():
+        idx, k = np.nonzero(escaped)[0], last_good[escaped]
+        escape_time[idx] = _refine_escape(
+            flow, times[k], values[idx, k], h,
+            hvals[idx, interval[k - 1]] if forced else 0.0)
     return values, escaped, escape_time
 
 
-def _node_forcing_lookup(forcing_values: np.ndarray, bounds: np.ndarray):
-    """Map a step index to its interval's forcing, batched over samples."""
-    steps = bounds[-1]
-    step_to_interval = np.searchsorted(bounds, np.arange(steps), side="right") - 1
-
-    def lookup(step_idx: int) -> np.ndarray:
-        return forcing_values[:, step_to_interval[step_idx]]
-
-    return lookup, step_to_interval
+def _step_intervals(bounds: np.ndarray) -> np.ndarray:
+    """Forcing interval of each step, from the node indices that delimit
+    the intervals."""
+    return np.searchsorted(bounds, np.arange(bounds[-1]), side="right") - 1
 
 
 def forcing_amplitude(cost: CostData) -> float:
@@ -398,8 +394,8 @@ def _dre_solution(flow, grid, values, escaped, escape_time):
     )
 
 
-def solve_dre_final(sys: StateSpace, cost: CostData, lambda_f, grid: TimeGrid,
-                    escape_cap: float = ESCAPE_CAP) -> DreSolution:
+def solve_dre_final(sys: StateSpace, cost: CostData, lambda_f,
+                    grid: TimeGrid) -> DreSolution:
     """Backward Riccati solve from the final value; maximal solution of the
     final-value differential matrix inequality."""
     flow = _RicFlow(sys, cost, grid)
@@ -407,25 +403,25 @@ def solve_dre_final(sys: StateSpace, cost: CostData, lambda_f, grid: TimeGrid,
     if lam0.shape != (sys.n, sys.n):
         raise ValueError(f"boundary value has shape {lam0.shape}, expected "
                          f"({sys.n}, {sys.n})")
-    values, escaped, escape_time = _sweep(flow, lam0[None], grid, escape_cap)
+    values, escaped, escape_time = _sweep(flow, lam0[None], grid)
     return _dre_solution(flow, grid, values[0], escaped[0], escape_time[0])
 
 
 def sample_dri_solution(sys: StateSpace, cost: CostData, lambda_f,
                         grid: TimeGrid, switch_points: int = 10,
-                        seed: int = 0, amplitude: Optional[float] = None,
-                        escape_cap: float = ESCAPE_CAP) -> DriSample:
+                        seed: int = 0,
+                        amplitude: Optional[float] = None) -> DriSample:
     """Draw one final-value Riccati-inequality solution via a random
     piecewise-constant PSD forcing subtracted from the state-weight side."""
     flow = _RicFlow(sys, cost, grid)
     if amplitude is None:
         amplitude = forcing_amplitude(cost)
     hvals = draw_forcing(sys.n, switch_points, seed, amplitude)[None]
-    bounds = switch_bounds(grid.steps, switch_points)
-    lookup, step_to_interval = _node_forcing_lookup(hvals, bounds)
+    step_to_interval = _step_intervals(switch_bounds(grid.steps,
+                                                     switch_points))
     lam0 = as_matrix(lambda_f)
-    values, escaped, escape_time = _sweep(flow, lam0[None], grid, escape_cap,
-                                          forcings=lookup)
+    values, escaped, escape_time = _sweep(flow, lam0[None], grid,
+                                          (hvals, step_to_interval))
 
     node_interval = np.append(step_to_interval, step_to_interval[-1])
     forcing_nodes = hvals[0][node_interval]

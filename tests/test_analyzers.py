@@ -36,12 +36,28 @@ from lqconic import (
     verify_solution,
 )
 
+from lqconic import riccati
 from lqconic.analyzers import analyze
-from lqconic.riccati import ESCAPE_CAP
 from oracles import convolution_norm, passivity_form_min_eig, zoh_qp_value
 
 SYS = StateSpace(A=[[0.0]], B=[[1.0]])
 COST = CostData(Q=[[1.0]], N=None, R=[[1.0]])
+
+
+def report_escape(monkeypatch):
+    """Make every Riccati sweep report an escape at mid-horizon, as a
+    numerical failure on data that cannot escape would."""
+    real = riccati._sweep
+
+    def sweep(flow, lam0, grid, *args):
+        values, escaped, escape_time = real(flow, lam0, grid, *args)
+        half = grid.steps // 2
+        values[:, :half] = np.nan
+        escaped[:] = True
+        escape_time[:] = grid.times()[half] - 0.5 * grid.h
+        return values, escaped, escape_time
+
+    monkeypatch.setattr(riccati, "_sweep", sweep)
 
 
 def lqr_spec(steps=1024, T=1.0, x0=1.0):
@@ -86,9 +102,10 @@ class TestSolveLqr:
         with pytest.raises(ValidationError):
             solve_lqr(bad)
 
-    def test_artificial_cap_reports_unexpected_escape(self):
-        with pytest.raises(EscapeUnexpected):
-            solve_lqr(lqr_spec(steps=128), escape_cap=1e-3)
+    def test_artificial_cap_reports_unexpected_escape(self, monkeypatch):
+        report_escape(monkeypatch)
+        with pytest.raises(EscapeUnexpected, match="regulator hypotheses"):
+            solve_lqr(lqr_spec(steps=128))
 
     def test_gain_closes_the_loop(self):
         cert = solve_lqr(lqr_spec())
@@ -235,13 +252,6 @@ class TestPassivity:
             passivity_test(sys, T=1.0, steps=16)
         assert [v.code for v in e.value.violations] == ["NonFinite"]
 
-    def test_escape_cap_reaches_the_test(self):
-        # the passive example's storage stays bounded, but not below 1e-6
-        ok, cert = passivity_test(self.GOOD, T=5.0, steps=64,
-                                  escape_cap=1e-6)
-        assert not ok and cert.minus_infinity
-        assert cert.escape_time > 5.0 - 2 * 5.0 / 64
-
     def test_agrees_with_quadratic_form_oracle(self):
         for sys, T in ((self.GOOD, 5.0), (self.BAD, 10.0)):
             ok, _ = passivity_test(sys, T=T)
@@ -275,36 +285,33 @@ class TestAnalyzePolicy:
     PR_BAD = StateSpace(A=[[1.0]], B=[[1.0]], C=[[-1.0]], D=[[0.2]])
 
     def case(self, variant, escape):
-        """(problem, escape cap, the wrapper's certificate as a thunk)."""
+        """(problem, the wrapper's certificate as a thunk)."""
         grid = TimeGrid(T=1.0, steps=128)
-        if variant in ("lqr", "stoch_lqr"):
-            # the regulator flow stays below 1, so a cap of 1e-3 is crossed
-            cap = 1e-3 if escape else ESCAPE_CAP
-            if variant == "lqr":
-                spec = ProblemSpec(sys=SYS, grid=grid,
-                                   variant=LQR(cost=COST, x_i=[1.0]))
-                return spec, cap, lambda: solve_lqr(spec, escape_cap=cap)
+        if variant == "lqr":
+            spec = ProblemSpec(sys=SYS, grid=grid,
+                               variant=LQR(cost=COST, x_i=[1.0]))
+            return spec, lambda: solve_lqr(spec)
+        if variant == "stoch_lqr":
             spec = ProblemSpec(sys=SYS, grid=grid, variant=StochLQR(
                 cost=COST, X_i=[[1.0]], W=[[0.5]]))
-            return spec, cap, lambda: solve_stoch_lqr(spec, escape_cap=cap)
+            return spec, lambda: solve_stoch_lqr(spec)
         if variant == "general_iqc":
             # -tan(T - t) escapes at T - pi/2 for T = 2, not for T = 0.5
             spec = ProblemSpec(
                 sys=SYS, grid=TimeGrid(T=2.0 if escape else 0.5, steps=128),
                 variant=GeneralIQC(cost=CostData(Q=[[-1.0]], N=None,
                                                  R=[[1.0]]), x_i=[1.0]))
-            return spec, ESCAPE_CAP, lambda: iqc_infimum(spec)
+            return spec, lambda: iqc_infimum(spec)
         if variant == "bounded_real":
             gamma = 0.5 if escape else 2.0
             spec = ProblemSpec(sys=self.BR, grid=TimeGrid(T=10.0, steps=128),
                                variant=BoundedReal(gamma=gamma))
-            return spec, ESCAPE_CAP, lambda: bounded_real_test(
+            return spec, lambda: bounded_real_test(
                 self.BR, gamma, T=10.0, steps=128)[1]
         sys = self.PR_BAD if escape else self.PR_GOOD
         spec = ProblemSpec(sys=sys, grid=TimeGrid(T=10.0, steps=128),
                            variant=PositiveReal())
-        return spec, ESCAPE_CAP, lambda: passivity_test(sys, T=10.0,
-                                                        steps=128)[1]
+        return spec, lambda: passivity_test(sys, T=10.0, steps=128)[1]
 
     @pytest.mark.parametrize("escape", [False, True])
     @pytest.mark.parametrize("variant,policy", [
@@ -314,16 +321,20 @@ class TestAnalyzePolicy:
         ("bounded_real", "verdict"),
         ("positive_real", "verdict"),
     ])
-    def test_escape_policy_and_wrappers(self, variant, policy, escape):
-        spec, cap, wrapper = self.case(variant, escape)
+    def test_escape_policy_and_wrappers(self, monkeypatch, variant, policy,
+                                        escape):
+        spec, wrapper = self.case(variant, escape)
         if escape and policy == "raise":
-            with pytest.raises(EscapeUnexpected):
+            # the regulator flow cannot escape; a sweep that reports one
+            # stands for a numerical failure
+            report_escape(monkeypatch)
+            with pytest.raises(EscapeUnexpected, match="regulator"):
                 wrapper()
-            with pytest.raises(EscapeUnexpected):
-                analyze(spec, escape_cap=cap)
+            with pytest.raises(EscapeUnexpected, match="regulator"):
+                analyze(spec)
             return
         cert = wrapper()
-        assert_same_certificate(cert, analyze(spec, escape_cap=cap))
+        assert_same_certificate(cert, analyze(spec))
         assert cert.variant == variant
         assert cert.minus_infinity is escape
         assert (cert.gain is None) is escape

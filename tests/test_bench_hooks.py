@@ -43,7 +43,6 @@ def test_sweep_arguments_the_tracer_reads():
                        grid)
     assert const.const is True and sampled.const is False
 
-    values, escaped, escape_time = _sweep(const, np.zeros((2, 1, 1)), grid,
-                                          1e9)
+    values, escaped, escape_time = _sweep(const, np.zeros((2, 1, 1)), grid)
     assert values.shape == (2, 9, 1, 1)
     assert escaped.shape == escape_time.shape == (2,)

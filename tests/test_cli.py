@@ -91,27 +91,53 @@ def load_schema(name):
     return json.loads((REPO / "docs" / "schema" / name).read_text())
 
 
+# keys the problem schema does not allow (additionalProperties false): the
+# retired escape cap, a misspelled option, unknown keys elsewhere; with the
+# object they go into (None for the root) and the field path of the error
+UNKNOWN_KEYS = [
+    ("options", "escape_cap", 1e9, "options.escape_cap"),
+    ("options", "tolerance", 5, "options.tolerance"),
+    (None, "extra_top", 1, r"\$\.extra_top"),
+    ("system", "E", [[1.0]], "system.E"),
+    ("horizon", "t0", 0.0, "horizon.t0"),
+]
+
+
+def unknown_key_doc(where, key, value):
+    doc = lqr_doc(steps=64)
+    (doc if where is None else doc.setdefault(where, {}))[key] = value
+    return doc
+
+
 class TestProblemParsing:
     def test_defaults(self):
         doc = lqr_doc()
         del doc["horizon"]["steps"]
         spec, options = parse_problem(doc)
         assert spec.grid.steps == 512
-        assert options["tol"] == 1e-9
-        assert options["escape_cap"] == 1e9
-        assert options["seed"] == 0
+        assert options == {"tol": 1e-9, "seed": 0}
 
     def test_document_options_read(self):
         doc = lqr_doc()
-        doc["options"] = {"tol": 1e-7, "escape_cap": 50.0, "seed": 3}
+        doc["options"] = {"tol": 1e-7, "seed": 3}
         _, options = parse_problem(doc)
-        assert options == {"tol": 1e-7, "escape_cap": 50.0, "seed": 3}
+        assert options == {"tol": 1e-7, "seed": 3}
 
-    @pytest.mark.parametrize("key", ["tol", "escape_cap"])
+    @pytest.mark.parametrize("where,key,value,field", UNKNOWN_KEYS,
+                             ids=[k[1] for k in UNKNOWN_KEYS])
+    def test_unknown_key_rejected(self, tmp_path, capsys, where, key, value,
+                                  field):
+        doc = unknown_key_doc(where, key, value)
+        with pytest.raises(DocumentError, match=field):
+            parse_problem(doc)
+        rc, out, err = run(capsys, ["lqr", write_doc(tmp_path, doc)])
+        assert rc == 1 and out == ""
+        assert "unknown key" in err
+
+    @pytest.mark.parametrize("key", ["tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_non_positive_option_rejected(self, tmp_path, capsys, key,
                                           value):
-        # with escape_cap -1 a finite iqc problem would report minus infinity
         doc = iqc_doc(T=0.5)
         doc["options"] = {key: value}
         with pytest.raises(DocumentError, match=f"options.{key}"):
@@ -328,29 +354,6 @@ class TestExitCodes:
         run(capsys, ["passivity", write_doc(tmp_path, doc, "opts.json")])
         assert seen == [1e-5, 1e-6]
 
-    def test_passivity_escape_cap_reaches_the_test(self, tmp_path, capsys,
-                                                   monkeypatch):
-        import lqconic.cli as cli_mod
-        from lqconic.riccati import ESCAPE_CAP
-        seen = []
-        real = cli_mod.passivity_test
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("escape_cap"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli_mod, "passivity_test", spy)
-        doc = pr_doc(True, steps=64)
-        rc, _, _ = run(capsys, ["passivity", write_doc(tmp_path, doc)])
-        assert rc == 0
-        # the passive storage stays far below 1e9 but not below 1e-6
-        doc["options"] = {"escape_cap": 1e-6}
-        rc, out, _ = run(capsys,
-                         ["passivity", write_doc(tmp_path, doc, "opts.json")])
-        assert rc == 3
-        assert json.loads(out)["verdict"] is False
-        assert seen == [ESCAPE_CAP, 1e-6]
-
     def test_passivity_d_zero_is_input_error(self, tmp_path, capsys):
         doc = pr_doc(True)
         doc["system"]["D"] = [[0.0]]
@@ -519,24 +522,6 @@ class TestDriCloudCommand:
                                 "--seed", "11", "--csv-dir", str(d)])
         assert rc == 0
         assert json.loads((d / "summary.json").read_text())["seed"] == 11
-
-    def test_escape_cap_option_reaches_the_cloud(self, tmp_path, capsys):
-        # the extremal tanh(2 - t) peaks at tanh 2 = 0.96, above a 0.5 cap
-        doc = lqr_doc(steps=128, T=2.0)
-        d = tmp_path / "out"
-        rc, _, _ = run(capsys, ["dri-cloud", write_doc(tmp_path, doc),
-                                "--samples", "3", "--csv-dir", str(d)])
-        assert rc == 0
-        assert json.loads((d / "summary.json").read_text())[
-            "dre_escaped"] is False
-        doc["options"] = {"escape_cap": 0.5}
-        rc, _, _ = run(capsys, ["dri-cloud", write_doc(tmp_path, doc),
-                                "--samples", "3", "--csv-dir", str(d)])
-        assert rc == 0
-        summary = json.loads((d / "summary.json").read_text())
-        assert summary["dre_escaped"] is True
-        assert abs(summary["dre_escape_time"] - (2.0 - math.atanh(0.5))) \
-            < 2 * 2.0 / 128
 
     def test_negative_sample_count_is_input_error(self, tmp_path, capsys):
         # used to end in an uncaught IndexError
@@ -714,6 +699,8 @@ class TestSchemaConformance:
         bad = lqr_doc()
         del bad["system"]
         assert not validator.is_valid(bad)
+        for where, key, value, _ in UNKNOWN_KEYS:
+            assert not validator.is_valid(unknown_key_doc(where, key, value))
 
     def test_emitted_results_validate(self, tmp_path, capsys):
         schema = load_schema("result.schema.json")

@@ -293,54 +293,54 @@ class TestRiccatiResidual:
         assert res == pytest.approx(0.75, abs=1e-10)
 
 
-def eigvalsh_sigma_max(y, cap=None):
-    """The unscreened escape norm: eigvalsh on every finite sample."""
-    norms = np.full(y.shape[0], np.inf)
-    finite = np.isfinite(y).all(axis=(1, 2))
-    if finite.any():
-        norms[finite] = np.abs(np.linalg.eigvalsh(y[finite])).max(axis=1)
-    return norms
+def unscreened_past_singular(d):
+    """The escape test of step denominators without the screen: eigenvalues
+    of every denominator with a positive finite determinant."""
+    det = np.linalg.det(d)
+    out = ~((det > 0.0) & (det < np.inf))
+    ev = np.linalg.eigvals(d[~out])
+    out[~out] = ((ev.imag == 0.0) & (ev.real <= 0.0)).any(axis=1)
+    return out
 
 
 class TestEscapePrescreen:
-    """The Frobenius pre-screen changes which samples reach eigvalsh, never
-    a cap verdict."""
+    """The screen ||X - I||_F >= 1 changes which step denominators reach
+    eigvals, never an escape verdict."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
-    def test_cap_verdict_equals_eigvalsh(self, data):
+    def test_singular_verdict_equals_unscreened(self, data):
         n = data.draw(st.integers(1, 4))
         size = data.draw(st.integers(1, 10))
-        cap = data.draw(st.sampled_from([1e-3, 1.0, 1e9, 1e160]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        # per sample: a shape whose Frobenius norm is loose (random) or
-        # tight (rank one, diagonal) against sigma_max, scaled so sigma_max
-        # lands just above or below the cap, or clearly on either side
-        y = np.empty((size, n, n))
+        # per denominator: I + E with E random, a pair of eigenvalues
+        # moving to zero together (det X stays positive), or a rank-one
+        # shrink of one eigenvalue, at a distance from the identity just
+        # inside or outside the screen's bound, or clearly on either side
+        d = np.empty((size, n, n))
         for i in range(size):
-            shape = data.draw(st.sampled_from(["random", "rank1", "diag"]))
+            shape = data.draw(st.sampled_from(["random", "pair", "rank1"]))
             if shape == "random":
-                g = rng.standard_normal((n, n))
-                sample = g + g.T
-            elif shape == "rank1":
-                u = rng.standard_normal(n)
-                sample = np.outer(u, u) * data.draw(st.sampled_from([1, -1]))
+                e = rng.standard_normal((n, n))
+            elif shape == "pair" and n >= 2:
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                e = -q[:, :2] @ q[:, :2].T
             else:
-                sample = np.zeros((n, n))
-                sample[0, 0] = 1.0
-            offset = data.draw(st.sampled_from(
-                [-0.5, -1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 2.0]))
-            sigma = np.abs(np.linalg.eigvalsh(sample)).max()
-            y[i] = sample * (cap * (1.0 + offset) / sigma)
+                u = rng.standard_normal(n)
+                e = -np.outer(u, u)
+            dist = data.draw(st.sampled_from(
+                [0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5, 2.0, 10.0]))
+            d[i] = np.eye(n) + e * (dist / np.linalg.norm(e))
             bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
             if bad is not None:
-                y[i, 0, n - 1] = bad
-        got = riccati._batch_sigma_max(y, cap) > cap
-        np.testing.assert_array_equal(got, eigvalsh_sigma_max(y) > cap)
+                d[i, 0, n - 1] = bad
+        with np.errstate(invalid="ignore"):  # det of non-finite samples
+            np.testing.assert_array_equal(riccati._past_singular(d),
+                                          unscreened_past_singular(d))
 
     def _unscreened(self, monkeypatch, call):
         with monkeypatch.context() as m:
-            m.setattr(riccati, "_batch_sigma_max", eigvalsh_sigma_max)
+            m.setattr(riccati, "_past_singular", unscreened_past_singular)
             return call()
 
     @pytest.mark.parametrize("q_sign", [1, -1])
@@ -356,9 +356,11 @@ class TestEscapePrescreen:
         screened, plain = solve(), self._unscreened(monkeypatch, solve)
         assert screened.escaped == plain.escaped
         assert screened.escape_time == plain.escape_time
+        assert np.array_equal(screened.lam.values, plain.lam.values,
+                              equal_nan=True)
         if screened.escaped:
             assert screened.escape_time == pytest.approx(
-                spec.grid.T - np.pi / 2.0, abs=2 * spec.grid.h)
+                spec.grid.T - np.pi / 2.0, abs=1e-6)
 
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_preset_clouds_unchanged(self, monkeypatch, signs):
@@ -372,3 +374,44 @@ class TestEscapePrescreen:
         assert screened.maximal == plain.maximal
         assert [s.escape_time for s in screened.samples] == \
             [s.escape_time for s in plain.samples]
+
+
+class TestEscapeStepIndependence:
+    """An escape is the first singular denominator of the Hamiltonian step
+    maps, refined on the partial step, so its time carries the maps'
+    fourth-order error and no dependence on the step size beyond it."""
+
+    @pytest.mark.parametrize("steps,tol", [
+        # the RK4 map of the rotation X = cos s lags by h^5/120 a step,
+        # (pi/2) h^4 / 120 = 3.2e-6 at h = 1/8 by the escape
+        (16, 5e-6), (64, 1e-6), (512, 1e-6)])
+    def test_preset_escape_at_t_minus_half_pi(self, steps, tol):
+        spec = scalar_preset(-1, 1, steps=steps)
+        sol = solve_dre_final(spec.sys, effective_cost(spec),
+                              np.zeros((1, 1)), spec.grid)
+        assert sol.escaped
+        assert abs(sol.escape_time - (2.0 - np.pi / 2.0)) <= tol
+
+    def test_indefinite_escape_agrees_across_grids(self):
+        rng = np.random.default_rng(1)
+        a = rng.uniform(-1.0, 1.0, (3, 3))
+        b = rng.uniform(-1.0, 1.0, (3, 2))
+        g = rng.uniform(-1.0, 1.0, (3, 3))
+        sys_ = StateSpace(A=a, B=b)
+        cost = CostData(Q=0.5 * (g + g.T), N=None, R=np.eye(2))
+        times = [solve_dre_final(sys_, cost, np.zeros((3, 3)),
+                                 TimeGrid(T=3.0, steps=k)).escape_time
+                 for k in (128, 2048)]
+        assert None not in times
+        assert abs(times[0] - times[1]) <= 1e-6
+
+    @pytest.mark.parametrize("q", [(-1.0, -1.0), (-1.0, -1.0, 1.0)])
+    def test_copies_of_the_escaping_mode(self, q):
+        # X = diag(cos s, cos s[, cosh s]): det X touches zero at s = pi/2
+        # without changing sign; the eigenvalues still cross it
+        n = len(q)
+        sol = solve_dre_final(StateSpace(A=np.zeros((n, n)), B=np.eye(n)),
+                              CostData(Q=np.diag(q), N=None, R=np.eye(n)),
+                              np.zeros((n, n)), TimeGrid(T=2.0, steps=64))
+        assert sol.escaped
+        assert abs(sol.escape_time - (2.0 - np.pi / 2.0)) <= 1e-6
