@@ -489,9 +489,9 @@ class TestEscapeRefinement:
     LAM0 = (0.0, 0.0, 0.0, 1.0, 3.0, 10.0, 1e3, 0.5)
     AMP = (0.0, 0.3, 2.0, 0.5, 0.0, 1.0, 0.0, 4.0)
 
-    def _batch(self, kind):
+    def _batch(self, kind, steps):
         rng = np.random.default_rng(8)
-        n, steps = 2, 40
+        n = 2
         s = np.linspace(0.0, 1.0, steps + 1)[:, None, None]
         wave = 1.0 + 0.3 * np.sin(5.0 * s) if kind == "sampled" else 1.0
         g = rng.uniform(-1.0, 1.0, (n, n))
@@ -508,9 +508,11 @@ class TestEscapeRefinement:
         flow = _RicFlow(sys, cost, grid)
         return flow, grid, lam0, hvals, interval
 
+    # two grids, so the escapes fall on different steps of each
+    @pytest.mark.parametrize("steps", [40, 64])
     @pytest.mark.parametrize("kind", ["constant", "sampled"])
-    def test_batched_refinement_matches_per_sample(self, kind):
-        flow, grid, lam0, hvals, interval = self._batch(kind)
+    def test_batched_refinement_matches_per_sample(self, kind, steps):
+        flow, grid, lam0, hvals, interval = self._batch(kind, steps)
         values, escaped, escape_time = _sweep(flow, lam0, grid,
                                               (hvals, interval))
         valid = np.isfinite(values).all(axis=(2, 3))
