@@ -1,4 +1,5 @@
-"""Small shared numerics: the one RK4 stepper, trapezoid quadrature, finite
+"""Small shared numerics: the one RK4 integrator (the step map of a linear
+flow) and the linear propagations built on it, trapezoid quadrature, finite
 differences, and the fixed node blocks that node-axis work runs in."""
 
 from __future__ import annotations
@@ -24,36 +25,26 @@ def as_matrix(value) -> np.ndarray:
     return a
 
 
-def _row(data, j: int):
-    """Data at the j-th time of a table; constant entries pass through."""
-    return [d[j] if d.ndim == 3 else d for d in data]
+def rk4_map(stages, dt) -> np.ndarray:
+    """RK4 map M, y(t + dt) = M y(t), of the linear flow y' = F(t) y:
+    M = I + (dt/6)(K1 + 2 K2 + 2 K3 + K4) with K1 = F(t),
+    K2 = F(t + dt/2)(I + dt/2 K1), K3 = F(t + dt/2)(I + dt/2 K2) and
+    K4 = F(t + dt)(I + dt K3). stages holds F at t, t + dt/2 and t + dt
+    (matrices or stacks); dt is a number or one step size per map."""
+    f1, f2, f4 = stages
+    eye = np.eye(f1.shape[-1])
+    dt = np.asarray(dt, dtype=float)[..., None, None]
+    k2 = np.matmul(f2, eye + (0.5 * dt) * f1)
+    k3 = np.matmul(f2, eye + (0.5 * dt) * k2)
+    k4 = np.matmul(f4, eye + dt * k3)
+    return eye + (dt / 6.0) * (f1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_step(rhs, stages, y: np.ndarray, dt):
-    """One classical RK4 step of dy/dt = rhs(data, y) from y over dt.
-
-    stages holds the right-hand-side data at the stage times t, t + dt/2
-    and t + dt. dt may be negative (a backward step) or an array that
-    broadcasts against y (one step size per sample).
-    """
-    d1, d2, d4 = stages
-    k1 = rhs(d1, y)
-    k2 = rhs(d2, y + (0.5 * dt) * k1)
-    k3 = rhs(d2, y + (0.5 * dt) * k2)
-    k4 = rhs(d4, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def propagate(rhs, tables, y0: np.ndarray, grid, backward: bool = False,
-              sym: bool = False) -> np.ndarray:
-    """RK4 of a flow that cannot escape, node to node across the grid.
-
-    Starts from y0 at t = 0, or at t = T when backward. tables(t, dt)
-    returns the right-hand-side data at the three stage times of the steps
-    that start at the times t, one block of NODE_BLOCK steps at a time;
-    each entry is one matrix for all steps or one per step. sym keeps a
-    matrix state symmetric after every step. Returns the node values.
-    """
+def propagate(generator, y0: np.ndarray, grid, backward: bool = False):
+    """RK4 of the linear flow y' = F(t) y across the grid from y0 at t = 0
+    (t = T when backward); generator(t) gives F at a batch of times. Each
+    NODE_BLOCK of steps gets its maps in one batched call, then y <- M y
+    node by node. Returns the node values."""
     steps, times = grid.steps, grid.times()
     if backward:
         order, dt, move = np.arange(steps, 0, -1), -grid.h, -1
@@ -63,11 +54,36 @@ def propagate(rhs, tables, y0: np.ndarray, grid, backward: bool = False,
     out[order[0]] = y0
     for block in node_blocks(steps):
         ks = order[block]
-        tabs = tables(times[ks], dt)
-        for j, k in enumerate(ks.tolist()):
-            nxt = rk4_step(rhs, [_row(tab, j) for tab in tabs], out[k], dt)
-            out[k + move] = 0.5 * (nxt + nxt.swapaxes(-1, -2)) if sym else nxt
+        t = times[ks]
+        maps = rk4_map([generator(s) for s in (t, t + 0.5 * dt, t + dt)], dt)
+        maps = np.broadcast_to(maps, ks.shape + maps.shape[-2:])
+        for k, m in zip(ks.tolist(), maps):
+            out[k + move] = m @ out[k]
     return out
+
+
+def propagate_lyapunov(f, w, s0: np.ndarray, grid, backward: bool = False):
+    """Node values of S' = F S + S F^T + W from the symmetric s0: `propagate`
+    on the flow of [vec S; 1] (row-major vec), whose matrix is
+    [[F (x) I + I (x) F, vec W], [0, 0]], with F = f(t) and W = w(t) at a
+    batch of times. Symmetrized once, at the end."""
+    n = s0.shape[-1]
+    e = np.eye(n)
+    # F (x) I + I (x) F is linear in F: vec F times a 0/1/2 matrix
+    kron = (np.einsum("ai,bk,jl->abijkl", e, e, e)
+            + np.einsum("aj,bl,ik->abijkl", e, e, e)).reshape(n * n, -1)
+
+    def generator(t):
+        ft, wt = np.broadcast_arrays(f(t), w(t))
+        g = np.zeros(ft.shape[:-2] + (n * n + 1, n * n + 1))
+        g[..., :-1, :-1] = (ft.reshape(-1, n * n) @ kron).reshape(
+            g[..., :-1, :-1].shape)
+        g[..., :-1, -1] = wt.reshape(g[..., :-1, -1].shape)
+        return g
+
+    y = propagate(generator, np.append(s0.reshape(-1), 1.0), grid, backward)
+    s = y[:, :-1].reshape(-1, n, n)
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def trapz(values: np.ndarray, h: float):

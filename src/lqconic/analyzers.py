@@ -28,7 +28,8 @@ from .covariance import (Gain, alignment_residual, closed_loop_simulate,
 from .dlmi import dual_objective, feasibility
 from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     ProblemSpec, StateSpace, StochLQR, TimeGrid,
-                    assemble_quadform, coeff_on, effective_cost, validate)
+                    ValidationError, _non_finite, assemble_quadform,
+                    coeff_on, effective_cost, validate)
 from .riccati import (DreSolution, DriSample, MatTrajectory, _dre_solution,
                       _RicFlow, _step_intervals, _sweep, draw_forcing,
                       forcing_amplitude, loewner_compare, solve_dre_final,
@@ -218,11 +219,18 @@ _ESCAPE_POLICY = {
 }
 
 
+def _check_tol(tol: float) -> None:
+    """A tolerance must be a positive number; NaN is not one."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def analyze(spec: ProblemSpec, tol: float = 1e-9) -> Certificate:
     """The one analyzer route: validate, solve the backward Riccati flow
     from a zero final value, then certify a bounded flow or apply the
     variant's escape policy. Verdict variants (bounded and positive real)
     carry verdict True or False and check the dual sign."""
+    _check_tol(tol)
     validate(spec)
     cost = effective_cost(spec)
     dre = solve_dre_final(spec.sys, cost, np.zeros((spec.sys.n, spec.sys.n)),
@@ -295,8 +303,7 @@ def hinf_norm_bisection(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
     boundedness test passes at the top and fails at the bottom, then halved.
     A zero output map short-circuits to norm zero.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if sys.C is None or sys.C.size == 0 or not np.any(sys.C):
         return NormResult(gamma_star=0.0, iterations=0, bracket=(0.0, 0.0))
 
@@ -381,8 +388,15 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
     all under the same escape test. The extremal reproduces solve_dre_final
     bitwise, residual included, and sample i reproduces sample_dri_solution
     with seed+i bitwise. Per-sample residual sweeps are skipped here (the
-    cloud's contract is the ordering, not integration accuracy).
+    cloud's contract is the ordering, not integration accuracy). Data with
+    NaN or infinite entries is rejected (ValidationError) before anything
+    runs; the full `validate` is not applied, since the cloud also samples
+    problems outside the regulator hypotheses (an indefinite R).
     """
+    non_finite = _non_finite(spec)
+    if non_finite:
+        raise ValidationError(non_finite)
+    _check_tol(tol)
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     sys, grid = spec.sys, spec.grid
@@ -443,6 +457,7 @@ def verify_solution(spec: ProblemSpec, certificate: Certificate,
     artifacts; the gain reuse makes tampered or zeroed gains fail on the
     alignment residual rather than being silently replaced.
     """
+    _check_tol(tol)
     validate(spec)
     sys = spec.sys
     grid2 = spec.grid.refined(2)

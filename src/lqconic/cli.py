@@ -125,10 +125,23 @@ def _matrix(doc, key, path, required=True):
     return arr
 
 
+# the keys the problem schema allows in each variant object
+_VARIANT_KEYS = {
+    "lqr": ("type", "Q", "N", "R", "x_i"),
+    "stoch_lqr": ("type", "Q", "N", "R", "X_i", "W"),
+    "general_iqc": ("type", "Q", "N", "R", "x_i"),
+    "bounded_real": ("type", "gamma"),
+    "positive_real": ("type",),
+}
+
+
 def _variant_from_doc(vdoc: dict):
     vtype = vdoc.get("type")
     if not isinstance(vtype, str):
         raise DocumentError("variant.type", "missing variant tag")
+    if vtype not in _VARIANT_KEYS:
+        raise DocumentError("variant.type", f"unknown variant {vtype!r}")
+    _known_keys(vdoc, "variant", _VARIANT_KEYS[vtype])
 
     def cost():
         q = _matrix(vdoc, "Q", "variant")
@@ -151,13 +164,11 @@ def _variant_from_doc(vdoc: dict):
         if vtype == "bounded_real":
             return BoundedReal(gamma=_num(vdoc, "gamma", "variant",
                                           required=False, default=1.0))
-        if vtype == "positive_real":
-            return PositiveReal()
+        return PositiveReal()
     except DocumentError:
         raise
     except ValueError as e:
         raise DocumentError("variant", str(e)) from e
-    raise DocumentError("variant.type", f"unknown variant {vtype!r}")
 
 
 def parse_problem(doc, steps_override=None, T_override=None):

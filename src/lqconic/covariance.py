@@ -9,10 +9,11 @@ trajectory certifies optimality when it satisfies the descriptor dynamics
 and is aligned (trace-orthogonal) with the dual's residual matrix.
 
 Per-node work (gain solves, covariance assembly, quadratures, residuals,
-and the closed-loop coefficients at the RK4 stage times) is done with numpy
+and the closed-loop matrix A - BK at the RK4 stage times) is done with numpy
 over the node axis, in fixed blocks of NODE_BLOCK nodes so that peak memory
-stays bounded. The forward propagations step node by node through the one
-RK4 stepper of `_num`, reading those block tables.
+stays bounded. Both forward propagations are linear flows: `_num` builds
+their RK4 step maps a block at a time and applies them node by node (the
+second moment as the flow of [vec S; 1]).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import as_matrix, fd_derivative, node_blocks, propagate, trapz
+from ._num import (as_matrix, fd_derivative, node_blocks, propagate,
+                   propagate_lyapunov, trapz)
 from .dlmi import _assemble_on, _lambda_dot
 from .model import (CostData, QuadForm, StateSpace, TimeGrid, coeff_at,
                     coeff_on)
@@ -105,18 +107,10 @@ def gain_from_dual(lambda_bar: MatTrajectory, sys: StateSpace,
     return Gain(grid, kvals)
 
 
-def _closed_loop_tables(sys: StateSpace, gain: Gain, grid: TimeGrid, W=None):
-    """Stage tables for propagate: (A - B K,) or, with a noise intensity W
-    (one matrix or one per node), (A - B K, W) at the RK4 stage times."""
-    def tables(t, dt):
-        out = []
-        for s in (t, t + 0.5 * dt, t + dt):
-            a, b = coeff_on(sys.A, s, grid), coeff_on(sys.B, s, grid)
-            fcl = a - b @ coeff_on(gain.K, s, gain.grid)
-            out.append((fcl,) if W is None else (fcl, coeff_on(W, s, grid)))
-        return out
-
-    return tables
+def _closed_loop(sys: StateSpace, gain: Gain, grid: TimeGrid):
+    """Generator of the closed loop: A - B K at a batch of times."""
+    return lambda t: coeff_on(sys.A, t, grid) - coeff_on(sys.B, t, grid) @ \
+        coeff_on(gain.K, t, gain.grid)
 
 
 def closed_loop_simulate(sys: StateSpace, gain: Gain, x_i,
@@ -126,8 +120,7 @@ def closed_loop_simulate(sys: StateSpace, gain: Gain, x_i,
     x0 = np.asarray(x_i, dtype=float).reshape(-1)
     if x0.size != sys.n:
         raise ValueError(f"initial state has {x0.size} entries, expected {sys.n}")
-    x = propagate(lambda d, y: d[0] @ y, _closed_loop_tables(sys, gain, grid),
-                  x0, grid)
+    x = propagate(_closed_loop(sys, gain, grid), x0, grid)
     u = (-gain.K @ x[:, :, None])[:, :, 0]
     return x, u
 
@@ -160,12 +153,9 @@ def stochastic_covariance(sys: StateSpace, gain: Gain, W, X_i,
     w = as_matrix(W)
     xi = np.asarray(X_i, dtype=float).reshape(n, n)
 
-    def rhs(d, s):
-        fcl, wk = d
-        return fcl @ s + s @ fcl.T + wk
-
-    sxx = propagate(rhs, _closed_loop_tables(sys, gain, grid, w),
-                    0.5 * (xi + xi.T), grid, sym=True)
+    sxx = propagate_lyapunov(_closed_loop(sys, gain, grid),
+                             lambda t: coeff_on(w, t, grid),
+                             0.5 * (xi + xi.T), grid)
     values = np.empty((grid.steps + 1, n + m, n + m))
     for block in node_blocks(grid.steps + 1):
         kk, s = gain.K[block], sxx[block]

@@ -9,8 +9,8 @@ solution is the maximal solution of the matching differential matrix
 inequality; H is a positive semidefinite forcing used to sample the
 inequality's other solutions. By Radon's lemma the flow is the Moebius
 image Lam = Y X^{-1} of a linear (Hamiltonian) flow of [X; Y], so each
-backward step applies the RK4 map M of that flow (built batched by the
-`_num` stepper) as Lam <- (M21 + M22 Lam)(M11 + M12 Lam)^{-1}. Solutions
+backward step applies the RK4 map M of that flow (built batched by
+`_num.rk4_map`) as Lam <- (M21 + M22 Lam)(M11 + M12 Lam)^{-1}. Solutions
 may escape in finite time: escape is an outcome, not an error, and it is
 where the denominator X = M11 + M12 Lam turns singular. It is detected on
 the step where X does, and its time refined by bisecting the partial step
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from ._num import (NODE_BLOCK, as_matrix, fd_derivative, node_blocks,
-                   propagate, rk4_step)
+                   propagate_lyapunov, rk4_map)
 from .model import CostData, StateSpace, TimeGrid, coeff_at, coeff_on
 
 __all__ = [
@@ -196,12 +196,9 @@ def _step_maps(flow: _RicFlow, t, dt, forcing=0.0) -> np.ndarray:
     over steps of size dt (a number, or one per time) from the times t, one
     per time (for sampled data) and per forcing value broadcast against."""
     if flow.const:  # one Hamiltonian serves all three stage times
-        stages = [_hamiltonian(flow.table(t), forcing)] * 3
-    else:
-        stages = [_hamiltonian(flow.table(s), forcing)
-                  for s in (t, t + 0.5 * dt, t + dt)]
-    return rk4_step(np.matmul, stages, np.eye(stages[0].shape[-1]),
-                    np.asarray(dt)[..., None, None])
+        return rk4_map([_hamiltonian(flow.table(t), forcing)] * 3, dt)
+    return rk4_map([_hamiltonian(flow.table(s), forcing)
+                    for s in (t, t + 0.5 * dt, t + dt)], dt)
 
 
 def _past_singular(d: np.ndarray) -> np.ndarray:
@@ -229,12 +226,15 @@ def _refine_escape(flow, t_good, y_good, h, forcing):
     """
     n = y_good.shape[-1]
     lo, hi = np.zeros(t_good.shape), np.full(t_good.shape, h)
+    if flow.const:  # the Hamiltonian does not depend on the step
+        stages = [_hamiltonian(flow.table(t_good), forcing)] * 3
     while True:
         mid = 0.5 * (lo + hi)
         split = (mid != lo) & (mid != hi)
         if not split.any():
             return t_good - mid
-        m = _step_maps(flow, t_good, -mid, forcing)
+        m = rk4_map(stages, -mid) if flow.const else \
+            _step_maps(flow, t_good, -mid, forcing)
         over = _past_singular(m[:, :n, :n] + np.matmul(m[:, :n, n:], y_good))
         hi = np.where(split & over, mid, hi)
         lo = np.where(split & ~over, mid, lo)
@@ -440,23 +440,16 @@ def sample_dri_solution(sys: StateSpace, cost: CostData, lambda_f,
 
 
 def solve_lyapunov_final(F, H, X_T, grid: TimeGrid) -> MatTrajectory:
-    """Backward RK4 integration of -dX/dt = F^T X + X F + H from X(T)=X_T.
+    """Backward RK4 integration of -dX/dt = F^T X + X F + H from X(T)=X_T,
+    that is of dX/dt = G X + X G^T - H with G = -F^T.
 
     Linear flow: cannot escape on a finite horizon with bounded data. For
     X_T = 0 and H PSD the solution is PSD for all t.
     """
-    fc, hc, xt = as_matrix(F), as_matrix(H), as_matrix(X_T)
-
-    def tables(t, dt):
-        return [(coeff_on(fc, s, grid), coeff_on(hc, s, grid))
-                for s in (t, t + 0.5 * dt, t + dt)]
-
-    def rhs(d, x):
-        f, forcing = d
-        return -(f.T @ x + x @ f + forcing)
-
-    values = propagate(rhs, tables, 0.5 * (xt + xt.T), grid, backward=True,
-                       sym=True)
+    g, hc, xt = -as_matrix(F).swapaxes(-1, -2), as_matrix(H), as_matrix(X_T)
+    values = propagate_lyapunov(lambda t: coeff_on(g, t, grid),
+                                lambda t: -coeff_on(hc, t, grid),
+                                0.5 * (xt + xt.T), grid, backward=True)
     return MatTrajectory(grid, values, meta="lyapunov-final")
 
 

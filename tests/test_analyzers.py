@@ -361,11 +361,64 @@ class TestScalarPreset:
             scalar_preset(0, 1)
 
 
+BAD_TOLS = [0.0, -1.0, float("nan")]
+
+
+class TestToleranceRejected:
+    """A tolerance that is not a positive number is an input error. NaN
+    used to pass every `tol <= 0` check and then silently turn off the
+    bisection (hinf_norm_bisection returned the unbisected bracket top),
+    the maximality test (dri_cloud) or the rank test (solve_lqr)."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_hinf_norm_bisection(self, tol):
+        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+        with pytest.raises(ValueError, match="tol"):
+            hinf_norm_bisection(sys, T=2.0, steps=64, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_analyze(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve_lqr(lqr_spec(steps=64), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            analyze(lqr_spec(steps=64), tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_dri_cloud(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            dri_cloud(scalar_preset(1, 1, steps=64), n_samples=2, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_verify_solution(self, tol):
+        spec = lqr_spec(steps=64)
+        cert = solve_lqr(spec)
+        with pytest.raises(ValueError, match="tol"):
+            verify_solution(spec, cert, tol=tol)
+
+
 class TestDriCloud:
     def test_negative_sample_count_rejected(self):
         # used to end in an IndexError deep in the sweep
         with pytest.raises(ValueError, match="n_samples"):
             dri_cloud(scalar_preset(1, 1, steps=64), n_samples=-1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_data_rejected(self, bad):
+        # used to run and report a maximal cloud with an escaped extremal
+        spec = scalar_preset(1, 1, steps=64)
+        cost = CostData(Q=[[bad]], N=None, R=[[1.0]])
+        spec = dataclasses.replace(spec, variant=LQR(cost=cost, x_i=[0.0]))
+        with pytest.raises(ValidationError) as info:
+            dri_cloud(spec, n_samples=2)
+        assert [(v.field, v.code) for v in info.value.violations] == \
+            [("cost.Q", "NonFinite")]
+
+    def test_indefinite_presets_still_run(self):
+        # the finite-data check is not the regulator validation: the
+        # m = -1 presets carry R = -1 under an LQR variant
+        for q in (1, -1):
+            report = dri_cloud(scalar_preset(q, -1, steps=64), n_samples=2)
+            assert len(report.samples) == 2
 
     def test_contractive_preset_maximal(self):
         report = dri_cloud(scalar_preset(1, 1, steps=256), n_samples=20,

@@ -2,9 +2,11 @@
 sample-batched escape refinement against its per-sample bisection.
 
 The certificate stages (DLMI feasibility, gain, quadratures, residual
-sweeps, forward propagations) evaluate along the node axis in blocks of
-NODE_BLOCK nodes, with coefficients tabulated by coeff_on. The loops below
-are the reference: one node at a time, every coefficient read by coeff_at.
+sweeps) evaluate along the node axis in blocks of NODE_BLOCK nodes, with
+coefficients tabulated by coeff_on; the forward and backward propagations
+build the RK4 maps of their linear flows a block at a time and apply them
+node by node. The loops below are the reference: one node at a time, every
+coefficient read by coeff_at, each RK4 step taken on the state itself.
 Grids have 2 * NODE_BLOCK + 3 steps, so a partial tail block is covered,
 and the coefficients are constant, node-sampled, or sampled on a grid and
 evaluated on its 2x refinement (as verify_solution does).
@@ -31,7 +33,7 @@ from lqconic.dlmi import dual_objective, feasibility
 from lqconic.model import (CostData, ProblemSpec, StateSpace, StochLQR,
                            TimeGrid, apply_Aop, assemble_quadform, coeff_at,
                            coeff_on)
-from lqconic._num import propagate
+from lqconic._num import propagate, rk4_map
 from lqconic.riccati import (_operator_blocks, _residual_sweep, _RicFlow,
                              _step_intervals, _step_maps, _sweep,
                              draw_forcing, solve_dre_final,
@@ -318,14 +320,22 @@ class TestStagesMatchLoops:
 
     def test_transition_matrix(self, prob):
         # forward: dPhi/dt = F Phi from the identity, F = A, by the one
-        # linear propagation with F tabulated at the stage times
+        # linear propagation with F tabulated at a block's stage times
         f, grid = prob.sys.A, prob.grid
         want = ref_rk4(lambda t, y: coeff_at(f, t, grid) @ y,
                        np.eye(prob.sys.n), grid)
-        got = propagate(lambda d, y: d[0] @ y, lambda t, dt: [
-            (coeff_on(f, s, grid),) for s in (t, t + 0.5 * dt, t + dt)],
-            np.eye(prob.sys.n), grid)
+        got = propagate(lambda t: coeff_on(f, t, grid), np.eye(prob.sys.n),
+                        grid)
         assert_close(got, want)
+
+    def test_second_moments_exactly_symmetric(self, prob):
+        # the [vec S; 1] flows are symmetrized once, after the last step
+        n = prob.sys.n
+        sxx = prob.stoch.sigma.values[:, :n, :n]
+        lyap = solve_lyapunov_final(prob.sys.A, prob.W, prob.X_i,
+                                    prob.grid).values
+        for v in (sxx, lyap):
+            assert np.array_equal(v, v.swapaxes(-1, -2))
 
     def test_lyapunov_final(self, prob):
         # backward: -dX/dt = F^T X + X F + H from X(T); in reversed time
@@ -450,6 +460,57 @@ class TestCoeffOn:
         for i, ti in enumerate(times):
             want = coeff_at(coeff, ti, grid)
             assert got[i].tobytes() == want.tobytes(), (ti, i)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 map of a linear flow
+
+def taylor4(f, dt):
+    """I + hF + (hF)^2/2 + (hF)^3/6 + (hF)^4/24: the RK4 map of a constant
+    F is the degree-4 Taylor polynomial of exp(hF)."""
+    hf = np.asarray(dt)[..., None, None] * f
+    term, out = np.eye(f.shape[-1]), np.eye(f.shape[-1])
+    for j in range(1, 5):
+        term = term @ hf / j
+        out = out + term
+    return out
+
+
+class TestRk4Map:
+    @pytest.mark.parametrize("dt", [0.1, -0.25, 1.5])
+    def test_constant_flow_is_taylor_polynomial(self, dt):
+        f = np.random.default_rng(1).standard_normal((4, 4))
+        got = rk4_map([f] * 3, dt)
+        np.testing.assert_allclose(got, taylor4(f, dt), rtol=1e-14,
+                                   atol=1e-14)
+
+    def test_stacked_flows_with_one_step_each(self):
+        rng = np.random.default_rng(2)
+        f = rng.standard_normal((5, 3, 3))
+        dt = rng.uniform(-0.5, 0.5, 5)
+        got = rk4_map([f] * 3, dt)
+        assert got.shape == (5, 3, 3)
+        np.testing.assert_allclose(got, taylor4(f, dt), rtol=1e-14,
+                                   atol=1e-14)
+        for j in range(5):
+            np.testing.assert_array_equal(got[j], rk4_map([f[j]] * 3, dt[j]))
+
+    def test_map_steps_a_time_varying_flow_like_rk4(self):
+        # the map applied to y is the classical RK4 step of y' = F(t) y
+        rng = np.random.default_rng(3)
+        f0, f1 = rng.standard_normal((2, 3, 3))
+
+        def flow(t):
+            return f0 + t * f1
+
+        t, dt, y = 0.3, 0.2, rng.standard_normal(3)
+        k1 = flow(t) @ y
+        k2 = flow(t + 0.5 * dt) @ (y + 0.5 * dt * k1)
+        k3 = flow(t + 0.5 * dt) @ (y + 0.5 * dt * k2)
+        k4 = flow(t + dt) @ (y + dt * k3)
+        want = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = rk4_map([flow(s) for s in (t, t + 0.5 * dt, t + dt)], dt) @ y
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

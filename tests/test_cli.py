@@ -92,19 +92,23 @@ def load_schema(name):
 
 
 # keys the problem schema does not allow (additionalProperties false): the
-# retired escape cap, a misspelled option, unknown keys elsewhere; with the
-# object they go into (None for the root) and the field path of the error
+# retired escape cap, a misspelled option, unknown keys elsewhere, and keys
+# of one variant set on another; with the object they go into (None for
+# the root), the field path of the error and the document they go into
 UNKNOWN_KEYS = [
-    ("options", "escape_cap", 1e9, "options.escape_cap"),
-    ("options", "tolerance", 5, "options.tolerance"),
-    (None, "extra_top", 1, r"\$\.extra_top"),
-    ("system", "E", [[1.0]], "system.E"),
-    ("horizon", "t0", 0.0, "horizon.t0"),
+    ("options", "escape_cap", 1e9, "options.escape_cap", lqr_doc),
+    ("options", "tolerance", 5, "options.tolerance", lqr_doc),
+    (None, "extra_top", 1, r"\$\.extra_top", lqr_doc),
+    ("system", "E", [[1.0]], "system.E", lqr_doc),
+    ("horizon", "t0", 0.0, "horizon.t0", lqr_doc),
+    ("variant", "gamma", 3.0, "variant.gamma", lqr_doc),
+    ("variant", "Q", [[1.0]], "variant.Q", br_doc),
+    ("variant", "W", [[1.0]], "variant.W", pr_doc),
 ]
 
 
-def unknown_key_doc(where, key, value):
-    doc = lqr_doc(steps=64)
+def unknown_key_doc(where, key, value, base):
+    doc = base(steps=64)
     (doc if where is None else doc.setdefault(where, {}))[key] = value
     return doc
 
@@ -123,11 +127,11 @@ class TestProblemParsing:
         _, options = parse_problem(doc)
         assert options == {"tol": 1e-7, "seed": 3}
 
-    @pytest.mark.parametrize("where,key,value,field", UNKNOWN_KEYS,
+    @pytest.mark.parametrize("where,key,value,field,base", UNKNOWN_KEYS,
                              ids=[k[1] for k in UNKNOWN_KEYS])
     def test_unknown_key_rejected(self, tmp_path, capsys, where, key, value,
-                                  field):
-        doc = unknown_key_doc(where, key, value)
+                                  field, base):
+        doc = unknown_key_doc(where, key, value, base)
         with pytest.raises(DocumentError, match=field):
             parse_problem(doc)
         rc, out, err = run(capsys, ["lqr", write_doc(tmp_path, doc)])
@@ -523,6 +527,18 @@ class TestDriCloudCommand:
         assert rc == 0
         assert json.loads((d / "summary.json").read_text())["seed"] == 11
 
+    def test_non_finite_data_is_input_error(self, tmp_path, capsys):
+        # JSON reads 1e999 as infinity; the cloud used to run on it and
+        # report a maximal cloud whose extremal escaped at t = 1
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(lqr_doc(steps=64)).replace(
+            '"Q": [[1.0]]', '"Q": [[1e999]]'))
+        for cmd in (["lqr"], ["dri-cloud", "--samples", "2",
+                              "--csv-dir", str(tmp_path / "o")]):
+            rc, out, err = run(capsys, cmd[:1] + [str(path)] + cmd[1:])
+            assert rc == 1 and out == ""
+            assert "NonFinite" in err
+
     def test_negative_sample_count_is_input_error(self, tmp_path, capsys):
         # used to end in an uncaught IndexError
         rc, out, err = run(capsys, ["dri-cloud",
@@ -699,8 +715,9 @@ class TestSchemaConformance:
         bad = lqr_doc()
         del bad["system"]
         assert not validator.is_valid(bad)
-        for where, key, value, _ in UNKNOWN_KEYS:
-            assert not validator.is_valid(unknown_key_doc(where, key, value))
+        for where, key, value, _, base in UNKNOWN_KEYS:
+            assert not validator.is_valid(unknown_key_doc(where, key, value,
+                                                          base))
 
     def test_emitted_results_validate(self, tmp_path, capsys):
         schema = load_schema("result.schema.json")

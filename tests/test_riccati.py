@@ -40,8 +40,7 @@ def transition(f, grid):
     """Phi(t_k, 0) at every node for a constant F: dPhi/dt = F Phi from the
     identity, stepped by the one linear propagation."""
     f = np.asarray(f, dtype=float)
-    return propagate(lambda d, y: d[0] @ y, lambda t, dt: [(f,)] * 3,
-                     np.eye(f.shape[0]), grid)
+    return propagate(lambda t: f, np.eye(f.shape[0]), grid)
 
 
 class TestTransitionMatrix:
