@@ -14,10 +14,9 @@ from .analyzers import (BracketFailure, Certificate, DNotStrictlyPassive,
                         hinf_norm_bisection, iqc_infimum, passivity_test,
                         scalar_preset, solve_lqr, solve_stoch_lqr,
                         verify_solution)
-from .covariance import (CovTrajectory, Gain, alignment_residual,
-                         closed_loop_simulate, deterministic_covariance,
-                         descriptor_residual, gain_from_dual,
-                         monte_carlo_cost, primal_objective,
+from .covariance import (Gain, alignment_residual, closed_loop_simulate,
+                         deterministic_covariance, descriptor_residual,
+                         gain_from_dual, monte_carlo_cost, primal_objective,
                          stochastic_covariance)
 from .dlmi import (DlmiCertificate, ResidualTooLarge, assemble_M,
                    dual_objective, extremal_factorization, feasibility,
@@ -27,8 +26,7 @@ from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     ValidationError, apply_A_adj, apply_Aop, apply_E,
                     apply_E_adj, assemble_quadform, effective_cost, validate)
 from .riccati import (DreSolution, DriSample, LoewnerVerdict, MatTrajectory,
-                      loewner_compare, sample_dri_solution, solve_dre_final,
-                      solve_lyapunov_final)
+                      loewner_compare, solve_dre_final, solve_lyapunov_final)
 from .symmat import (M22NotPDError, NotPSDError, OrthogonalityReport,
                      SymFactor, SymMat, eps_rank, nuclear_norm,
                      orthogonality_certificate, schur_psd_test, sigma_max_norm,
@@ -48,11 +46,10 @@ __all__ = [
     "ValidationError", "validate", "effective_cost", "assemble_quadform",
     "apply_E", "apply_Aop", "apply_E_adj", "apply_A_adj",
     "MatTrajectory", "DreSolution", "DriSample", "LoewnerVerdict",
-    "solve_lyapunov_final", "solve_dre_final", "sample_dri_solution",
-    "loewner_compare",
+    "solve_lyapunov_final", "solve_dre_final", "loewner_compare",
     "DlmiCertificate", "ResidualTooLarge", "assemble_M", "feasibility",
     "extremal_factorization", "lure_residuals", "dual_objective",
-    "CovTrajectory", "Gain", "gain_from_dual",
+    "Gain", "gain_from_dual",
     "closed_loop_simulate", "deterministic_covariance",
     "stochastic_covariance", "primal_objective", "descriptor_residual",
     "alignment_residual", "monte_carlo_cost",

@@ -79,23 +79,23 @@ class Certificate:
     the dual slack (should sit at numerical zero), duality_gap the primal
     minus dual difference, alignment the certified gap bound from the trace
     pairing, and rank_ok confirms the slack has the minimal rank m at every
-    node. minus_infinity certificates instead carry the escape time.
+    node. minus_infinity certificates instead carry the escape time and
+    leave the evidence fields at their NaN/None defaults.
     """
 
     variant: str
-    optimal_value: Optional[float]
     minus_infinity: bool
-    escape_time: Optional[float]
-    gain: Optional[Gain]
-    dual_min_eig: float
-    duality_gap: float
-    alignment: float
-    rank_ok: bool
     grid: TimeGrid
-    dual_value: Optional[float]
-    primal_value: Optional[float]
-    descriptor_residual: float
-    lam: Optional[MatTrajectory]
+    optimal_value: Optional[float] = None
+    escape_time: Optional[float] = None
+    gain: Optional[Gain] = None
+    dual_min_eig: float = math.nan
+    duality_gap: float = math.nan
+    alignment: float = math.nan
+    rank_ok: bool = False
+    primal_value: Optional[float] = None
+    descriptor_residual: float = math.nan
+    lam: Optional[MatTrajectory] = None
     lam_max_eig: Optional[float] = None
     verdict: Optional[bool] = None
 
@@ -144,8 +144,6 @@ class VerificationReport:
     passed: bool
     checks: List[VerificationCheck]
     grid: TimeGrid
-    dual_value: Optional[float] = None
-    primal_value: Optional[float] = None
     notes: List[str] = field(default_factory=list)
 
 
@@ -189,16 +187,14 @@ def _certify_finite(spec: ProblemSpec, cost: CostData, dre: DreSolution,
 
     return Certificate(
         variant=tag,
-        optimal_value=dual,
         minus_infinity=False,
-        escape_time=None,
+        grid=grid,
+        optimal_value=dual,
         gain=gain,
         dual_min_eig=float(feas.min_eig.min()),
         duality_gap=primal - dual,
         alignment=align,
         rank_ok=rank_ok,
-        grid=grid,
-        dual_value=dual,
         primal_value=primal,
         descriptor_residual=desc,
         lam=lam,
@@ -245,23 +241,9 @@ def analyze(spec: ProblemSpec, tol: float = 1e-9) -> Certificate:
         raise EscapeUnexpected(
             f"Riccati flow escaped at t={dre.escape_time:.6g} although the "
             "regulator hypotheses exclude escape; check the cost signs")
-    return Certificate(
-        variant=tag,
-        optimal_value=None,
-        minus_infinity=True,
-        escape_time=dre.escape_time,
-        gain=None,
-        dual_min_eig=float("nan"),
-        duality_gap=float("nan"),
-        alignment=float("nan"),
-        rank_ok=False,
-        grid=spec.grid,
-        dual_value=None,
-        primal_value=None,
-        descriptor_residual=float("nan"),
-        lam=dre.lam,
-        verdict=False if judged else None,
-    )
+    return Certificate(variant=tag, minus_infinity=True, grid=spec.grid,
+                       escape_time=dre.escape_time, lam=dre.lam,
+                       verdict=False if judged else None)
 
 
 def solve_lqr(spec: ProblemSpec, tol: float = 1e-9) -> Certificate:
@@ -300,8 +282,10 @@ def hinf_norm_bisection(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
     """Bisect the gain bound down to a bracket of width tol.
 
     The bracket is grown geometrically (factor 4) from gamma=1 until the
-    boundedness test passes at the top and fails at the bottom, then halved.
-    A zero output map short-circuits to norm zero.
+    boundedness test passes at the top and fails at the bottom, then halved
+    until it is no wider than tol or its midpoint no longer lies strictly
+    inside it (the ends are adjacent floats, so a tol below their spacing
+    returns a wider bracket). A zero output map short-circuits to norm zero.
     """
     _check_tol(tol)
     if sys.C is None or sys.C.size == 0 or not np.any(sys.C):
@@ -335,13 +319,13 @@ def hinf_norm_bisection(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if ok(mid):
             hi = mid
         else:
             lo = mid
         iterations += 1
-        if iterations > 200:
-            break
     return NormResult(gamma_star=hi, iterations=iterations, bracket=(lo, hi))
 
 
@@ -386,12 +370,12 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
     One batched sweep integrates the extremal, as sample 0 with a zero
     forcing (adding it changes no value), and the forced samples behind it,
     all under the same escape test. The extremal reproduces solve_dre_final
-    bitwise, residual included, and sample i reproduces sample_dri_solution
-    with seed+i bitwise. Per-sample residual sweeps are skipped here (the
-    cloud's contract is the ordering, not integration accuracy). Data with
-    NaN or infinite entries is rejected (ValidationError) before anything
-    runs; the full `validate` is not applied, since the cloud also samples
-    problems outside the regulator hypotheses (an indefinite R).
+    bitwise, residual included, and sample i is bitwise the one sample of
+    a one-sample cloud with seed seed+i. Forced samples get no residual
+    sweep (the cloud's contract is the ordering, not integration accuracy).
+    Data with NaN or infinite entries is rejected (ValidationError) before
+    anything runs; the full `validate` is not applied, since the cloud also
+    samples problems outside the regulator hypotheses (an indefinite R).
     """
     non_finite = _non_finite(spec)
     if non_finite:
@@ -419,16 +403,14 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
     node_interval = np.append(step_to_interval, step_to_interval[-1])
     margins = []
     for i in range(n_samples):
-        lam_traj = MatTrajectory(grid, values[i + 1], meta=f"dri-{i}")
-        forcing_traj = MatTrajectory(grid, hvals[i + 1][node_interval],
-                                     meta=f"dri-forcing-{i}")
+        lam_traj = MatTrajectory(grid, values[i + 1])
+        forcing_traj = MatTrajectory(grid, hvals[i + 1][node_interval])
         esc = bool(escaped[i + 1])
         samples.append(DriSample(
             lam=lam_traj,
             forcing=forcing_traj,
             escaped=esc,
             escape_time=float(escape_time[i + 1]) if esc else None,
-            residual_max=float("nan"),
         ))
         order = loewner_compare(dre.lam, lam_traj, tol)
         if order.shared_nodes:
@@ -512,7 +494,7 @@ def verify_solution(spec: ProblemSpec, certificate: Certificate,
     else:
         check("value_match", abs(claimed - dual2), max(1e-5, 1e-4 * scale))
 
-    smax = float(np.abs(np.linalg.eigvalsh(sigma2.sigma.values)).max())
+    smax = float(np.abs(np.linalg.eigvalsh(sigma2.values)).max())
     check("descriptor", desc, 1e-3 * (1.0 + smax))
     check("alignment", align2, max(1e-6, 1e-4 * scale))
     check("weak_duality", dual2 - primal2, 1e-6 * scale)
@@ -528,6 +510,4 @@ def verify_solution(spec: ProblemSpec, certificate: Certificate,
               1e-2 * (1.0 + float(np.max(np.abs(k2)))))
 
     passed = all(c.ok for c in checks)
-    return VerificationReport(passed, checks, grid2,
-                              dual_value=dual2, primal_value=primal2,
-                              notes=notes)
+    return VerificationReport(passed, checks, grid2, notes=notes)

@@ -108,6 +108,24 @@ def _num(doc, key, path, required=True, default=None):
     return float(val)
 
 
+def _int(doc, key, path, required=True):
+    val = doc.get(key)
+    if val is None:
+        if required:
+            raise DocumentError(f"{path}.{key}", "missing required integer")
+        return None
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise DocumentError(f"{path}.{key}", "must be an integer")
+    return val
+
+
+def _grid(T, steps, path):
+    try:
+        return TimeGrid(T=T, steps=steps)
+    except ValueError as e:
+        raise DocumentError(path, str(e)) from e
+
+
 def _matrix(doc, key, path, required=True):
     val = doc.get(key)
     if val is None:
@@ -202,15 +220,10 @@ def parse_problem(doc, steps_override=None, T_override=None):
     _known_keys(horizon, "horizon", ("T", "steps"))
     T = T_override if T_override is not None else _num(
         horizon, "T", "horizon", required=T_override is None)
-    steps_doc = horizon.get("steps")
-    if steps_doc is not None and (isinstance(steps_doc, bool)
-                                  or not isinstance(steps_doc, int)):
-        raise DocumentError("horizon.steps", "must be an integer")
-    steps = steps_override if steps_override is not None else (steps_doc or 512)
-    try:
-        grid = TimeGrid(T=T, steps=int(steps))
-    except ValueError as e:
-        raise DocumentError("horizon", str(e)) from e
+    steps = _int(horizon, "steps", "horizon", required=False)
+    if steps_override is not None:
+        steps = steps_override
+    grid = _grid(T, 512 if steps is None else steps, "horizon")
 
     variant = _variant_from_doc(_obj(doc, "variant", "$"))
 
@@ -277,7 +290,6 @@ def certificate_document(cert: Certificate, problem_hash: str,
         "optimal_value": _json_num(cert.optimal_value),
         "minus_infinity": bool(cert.minus_infinity),
         "escape_time": _json_num(cert.escape_time),
-        "dual_value": _json_num(cert.dual_value),
         "primal_value": _json_num(cert.primal_value),
         "duality_gap": _json_num(cert.duality_gap),
         "alignment": _json_num(cert.alignment),
@@ -457,35 +469,26 @@ def cmd_dri_cloud(args):
 
 
 def _certificate_from_document(res: dict) -> Certificate:
+    """The claims verify checks: variant, grid, minus_infinity,
+    optimal_value, escape_time, verdict and gain. The grid must hold
+    integer steps and a finite positive T, like a problem horizon."""
     for key in ("variant", "grid", "minus_infinity"):
         if key not in res:
             raise DocumentError(f"result.{key}", "missing required field")
-    gdoc = res["grid"]
-    grid = TimeGrid(T=float(gdoc["T"]), steps=int(gdoc["steps"]))
+    gdoc = _obj(res, "grid", "result")
+    grid = _grid(_num(gdoc, "T", "result.grid"),
+                 _int(gdoc, "steps", "result.grid"), "result.grid")
     gain = None
     gdata = res.get("gain")
     if gdata is not None:
         nodes = np.asarray(gdata["nodes"], dtype=float)
         m, n = int(gdata["m"]), int(gdata["n"])
         gain = Gain(grid, nodes.reshape(grid.steps + 1, m, n))
-    nan = float("nan")
-    return Certificate(
-        variant=str(res["variant"]),
-        optimal_value=res.get("optimal_value"),
-        minus_infinity=bool(res["minus_infinity"]),
-        escape_time=res.get("escape_time"),
-        gain=gain,
-        dual_min_eig=nan,
-        duality_gap=nan,
-        alignment=nan,
-        rank_ok=bool(res.get("rank_ok", False)),
-        grid=grid,
-        dual_value=res.get("dual_value"),
-        primal_value=res.get("primal_value"),
-        descriptor_residual=nan,
-        lam=None,
-        verdict=res.get("verdict"),
-    )
+    return Certificate(variant=str(res["variant"]),
+                       minus_infinity=bool(res["minus_infinity"]), grid=grid,
+                       optimal_value=res.get("optimal_value"),
+                       escape_time=res.get("escape_time"), gain=gain,
+                       verdict=res.get("verdict"))
 
 
 def cmd_verify(args):
@@ -499,8 +502,11 @@ def cmd_verify(args):
         print(f"error: problem hash mismatch: result was produced for "
               f"{want}, this problem hashes to {have}", file=sys.stderr)
         return EXIT_INPUT
-    spec, _ = parse_problem(pdoc)
+    # the problem is re-solved on the grid the result claims, which
+    # --steps and --T may have set apart from the document's horizon
     cert = _certificate_from_document(rdoc)
+    spec, _ = parse_problem(pdoc, steps_override=cert.grid.steps,
+                            T_override=cert.grid.T)
     report = verify_solution(spec, cert)
     for c in report.checks:
         mark = "ok  " if c.ok else "FAIL"

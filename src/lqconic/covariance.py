@@ -18,8 +18,6 @@ second moment as the flow of [vec S; 1]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._num import (as_matrix, fd_derivative, node_blocks, propagate,
@@ -31,7 +29,6 @@ from .riccati import MatTrajectory
 from .symmat import sym_factor
 
 __all__ = [
-    "CovTrajectory",
     "Gain",
     "gain_from_dual",
     "closed_loop_simulate",
@@ -42,14 +39,6 @@ __all__ = [
     "alignment_residual",
     "monte_carlo_cost",
 ]
-
-
-@dataclass(frozen=True)
-class CovTrajectory:
-    """PSD-valued trajectory of stacked state/input second moments."""
-
-    sigma: MatTrajectory
-    kind: str  # "deterministic" or "stochastic"
 
 
 class Gain:
@@ -125,7 +114,7 @@ def closed_loop_simulate(sys: StateSpace, gain: Gain, x_i,
     return x, u
 
 
-def deterministic_covariance(x, u, grid: TimeGrid) -> CovTrajectory:
+def deterministic_covariance(x, u, grid: TimeGrid) -> MatTrajectory:
     """Rank-one outer product of the stacked signal at every node."""
     xv = np.asarray(x, dtype=float)
     uv = np.asarray(u, dtype=float)
@@ -137,12 +126,11 @@ def deterministic_covariance(x, u, grid: TimeGrid) -> CovTrajectory:
         raise ValueError("state and input have different sample counts")
     z = np.hstack([xv, uv])
     values = np.einsum("ki,kj->kij", z, z)
-    return CovTrajectory(MatTrajectory(grid, values, meta="rank-one"),
-                         kind="deterministic")
+    return MatTrajectory(grid, values)
 
 
 def stochastic_covariance(sys: StateSpace, gain: Gain, W, X_i,
-                          grid: TimeGrid) -> CovTrajectory:
+                          grid: TimeGrid) -> MatTrajectory:
     """Forward closed-loop second-moment propagation.
 
     The state block solves dS/dt = (A-BK) S + S (A-BK)^T + W from X_i; the
@@ -164,35 +152,32 @@ def stochastic_covariance(sys: StateSpace, gain: Gain, W, X_i,
         values[block, :n, n:] = cross
         values[block, n:, :n] = cross.swapaxes(-1, -2)
         values[block, n:, n:] = kk @ s @ kk.swapaxes(-1, -2)
-    return CovTrajectory(MatTrajectory(grid, values, meta="second-moment"),
-                         kind="stochastic")
+    return MatTrajectory(grid, values)
 
 
-def primal_objective(sigma: CovTrajectory, quadform: QuadForm) -> float:
+def primal_objective(sigma: MatTrajectory, quadform: QuadForm) -> float:
     """End-corrected trapezoid quadrature (`_num.trapz`) of the trace
     pairing of the stacked cost with the covariance trajectory."""
-    traj = sigma.sigma
-    if quadform.grid != traj.grid:
+    if quadform.grid != sigma.grid:
         raise ValueError("covariance and quadratic form use different grids")
-    times = traj.grid.times()
+    times = sigma.grid.times()
     vals = np.empty(times.size)
     for block in node_blocks(times.size):
         qm = coeff_on(quadform.Qmat, times[block], quadform.grid)
-        vals[block] = np.sum(qm * traj.values[block], axis=(1, 2))
-    return trapz(vals, traj.grid.h)
+        vals[block] = np.sum(qm * sigma.values[block], axis=(1, 2))
+    return trapz(vals, sigma.grid.h)
 
 
-def descriptor_residual(sigma: CovTrajectory, sys: StateSpace,
+def descriptor_residual(sigma: MatTrajectory, sys: StateSpace,
                         W=None) -> float:
     """Max violation of the covariance dynamics over interior nodes.
 
     Checks the top-left block of d(Sigma)/dt (centered differences) against
     the dynamics image of Sigma plus the noise intensity.
     """
-    traj = sigma.sigma
-    grid = traj.grid
+    grid = sigma.grid
     n = sys.n
-    sdot = fd_derivative(traj.values, grid.h)
+    sdot = fd_derivative(sigma.values, grid.h)
     w = None
     if W is not None:
         w = as_matrix(W)
@@ -200,7 +185,7 @@ def descriptor_residual(sigma: CovTrajectory, sys: StateSpace,
     worst = 0.0
     for block in node_blocks(grid.steps - 1):
         ks = slice(block.start + 1, block.stop + 1)  # interior nodes only
-        t, sig = times[ks], traj.values[ks]
+        t, sig = times[ks], sigma.values[ks]
         lead = sig.shape[:1]
         a, b = coeff_on(sys.A, t, grid), coeff_on(sys.B, t, grid)
         ab = np.concatenate([np.broadcast_to(a, lead + a.shape[-2:]),
@@ -213,7 +198,7 @@ def descriptor_residual(sigma: CovTrajectory, sys: StateSpace,
     return worst
 
 
-def alignment_residual(sigma: CovTrajectory, lambda_bar: MatTrajectory,
+def alignment_residual(sigma: MatTrajectory, lambda_bar: MatTrajectory,
                        sys: StateSpace, cost: CostData, quadform: QuadForm,
                        lambda_dot_mode: str = "dre") -> float:
     """End-corrected trapezoid quadrature (`_num.trapz`) of the trace
@@ -223,8 +208,7 @@ def alignment_residual(sigma: CovTrajectory, lambda_bar: MatTrajectory,
     PSD along the extremal, so the integrand is nonnegative and the value
     bounds the duality gap from above.
     """
-    traj = sigma.sigma
-    grid = traj.grid
+    grid = sigma.grid
     if lambda_bar.grid != grid or quadform.grid != grid:
         raise ValueError("primal, dual, and cost grids must agree")
     lam_dot = _lambda_dot(lambda_bar.values, sys, cost, grid, lambda_dot_mode)
@@ -234,7 +218,7 @@ def alignment_residual(sigma: CovTrajectory, lambda_bar: MatTrajectory,
         t = times[block]
         m = _assemble_on(lambda_bar.values[block], lam_dot(block, t), sys,
                          quadform, t)
-        vals[block] = np.sum(m * traj.values[block], axis=(1, 2))
+        vals[block] = np.sum(m * sigma.values[block], axis=(1, 2))
     return trapz(vals, grid.h)
 
 

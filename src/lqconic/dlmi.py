@@ -60,9 +60,7 @@ class DlmiCertificate:
     feasible: bool
     psd_ok: bool
     boundary_ok: bool
-    worst_node: float
     rank_trace: np.ndarray
-    tol: float
 
 
 def _assemble_raw(lam: np.ndarray, lam_dot: np.ndarray, a: np.ndarray,
@@ -158,15 +156,12 @@ def feasibility(lam: MatTrajectory, sys: StateSpace, quadform: QuadForm,
     boundary_ok = float(np.max(np.abs(values[-1]))) <= BOUNDARY_TOL
 
     psd_ok = bool(min_eig.min() >= -tol)
-    worst = float(times[int(np.argmin(min_eig))])
     return DlmiCertificate(
         min_eig=min_eig,
         feasible=psd_ok and boundary_ok,
         psd_ok=psd_ok,
         boundary_ok=boundary_ok,
-        worst_node=worst,
         rank_trace=rank_trace,
-        tol=tol,
     )
 
 

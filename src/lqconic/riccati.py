@@ -49,7 +49,6 @@ __all__ = [
     "LoewnerVerdict",
     "solve_lyapunov_final",
     "solve_dre_final",
-    "sample_dri_solution",
     "loewner_compare",
     "forcing_amplitude",
 ]
@@ -63,9 +62,9 @@ class MatTrajectory:
     reproduce stored samples exactly.
     """
 
-    __slots__ = ("grid", "values", "meta")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: TimeGrid, values, meta: str = ""):
+    def __init__(self, grid: TimeGrid, values):
         v = np.asarray(values, dtype=float)
         if v.ndim != 3 or v.shape[1] != v.shape[2]:
             raise ValueError(f"expected (nodes, n, n) samples, got {v.shape}")
@@ -76,7 +75,6 @@ class MatTrajectory:
         v.flags.writeable = False
         self.grid = grid
         self.values = v
-        self.meta = meta
 
     @property
     def n(self) -> int:
@@ -90,9 +88,6 @@ class MatTrajectory:
 
     def valid_mask(self) -> np.ndarray:
         return np.isfinite(self.values).all(axis=(1, 2))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -110,14 +105,6 @@ class DreSolution:
     escape_time: Optional[float]
     residual_max: float
 
-    def as_trajectory(self) -> MatTrajectory:
-        if self.escaped:
-            raise ValueError(
-                f"solution escaped at t={self.escape_time:.6g}; "
-                "no complete trajectory exists"
-            )
-        return self.lam
-
 
 @dataclass(frozen=True)
 class DriSample:
@@ -128,7 +115,6 @@ class DriSample:
     forcing: MatTrajectory
     escaped: bool
     escape_time: Optional[float]
-    residual_max: float
 
 
 def _ric_data(A, B, Q, N, R):
@@ -205,11 +191,13 @@ def _past_singular(d: np.ndarray) -> np.ndarray:
     """Whether each step denominator X = M11 + M12 Lam (S, n, n) passed a
     singular matrix on its way from I: det X <= 0 or non-finite, or a real
     eigenvalue <= 0 (a pair crossing zero keeps det X > 0), computed only
-    where ||X - I||_F >= 1, since nearer I all lie within 1 of 1."""
+    where ||X - I||_F >= 0.9: nearer I all lie within 0.9 of 1, a margin
+    that no rounding of the norm or of the eigenvalues can cross (at
+    ||X - I||_F = 1 an eigenvalue can round to 0)."""
     det = np.linalg.det(d)
     out = ~((det > 0.0) & (det < np.inf))
     off = d - np.eye(d.shape[-1])
-    far = ~out & ~(np.einsum("sij,sij->s", off, off) < 1.0)
+    far = ~out & ~(np.einsum("sij,sij->s", off, off) < 0.81)
     if far.any():
         ev = np.linalg.eigvals(d[far])
         out[far] = ((ev.imag == 0.0) & (ev.real <= 0.0)).any(axis=1)
@@ -356,38 +344,23 @@ def _operator_blocks(flow: _RicFlow, grid: TimeGrid, idx: np.ndarray,
         yield block, ldot[block] - rhs
 
 
-def _residual_sweep(lam_values: np.ndarray, flow: _RicFlow, grid: TimeGrid,
-                    forcing_nodes=None, step_interval=None) -> float:
-    """Max finite-difference residual over valid nodes. For forced samples
-    the stored forcing is subtracted, and nodes whose difference stencil
-    straddles a forcing switch are skipped (the derivative there mixes two
-    constant pieces and says nothing about integration accuracy)."""
+def _residual_sweep(lam_values: np.ndarray, flow: _RicFlow,
+                    grid: TimeGrid) -> float:
+    """Max finite-difference residual over valid nodes."""
     valid = np.isfinite(lam_values).all(axis=(1, 2))
     idx = np.nonzero(valid)[0]
     if idx.size < 3:
         return float("nan")
-    keep = np.ones(idx.size, dtype=bool)
-    if step_interval is not None:
-        # steps spanned by each node's stencil: centered inside, one-sided
-        # (two steps inward) at the segment ends
-        s0, s1 = idx - 1, idx.copy()
-        s0[0], s1[0] = idx[0], idx[0] + 1
-        s0[-1], s1[-1] = idx[-1] - 2, idx[-1] - 1
-        keep = step_interval[s0] == step_interval[s1]
     worst = 0.0
-    for block, r in _operator_blocks(flow, grid, idx, lam_values[idx]):
-        if forcing_nodes is not None:
-            r = r - forcing_nodes[idx[block]]
-        r = r[keep[block]]
-        if r.size:
-            worst = max(worst, float(np.max(np.abs(r))))
+    for _, r in _operator_blocks(flow, grid, idx, lam_values[idx]):
+        worst = max(worst, float(np.max(np.abs(r))))
     return worst
 
 
 def _dre_solution(flow, grid, values, escaped, escape_time):
     """DreSolution of one unforced sample of a sweep, with its residual."""
     return DreSolution(
-        lam=MatTrajectory(grid, values, meta="dre-final"),
+        lam=MatTrajectory(grid, values),
         escaped=bool(escaped),
         escape_time=float(escape_time) if escaped else None,
         residual_max=_residual_sweep(values, flow, grid),
@@ -407,38 +380,6 @@ def solve_dre_final(sys: StateSpace, cost: CostData, lambda_f,
     return _dre_solution(flow, grid, values[0], escaped[0], escape_time[0])
 
 
-def sample_dri_solution(sys: StateSpace, cost: CostData, lambda_f,
-                        grid: TimeGrid, switch_points: int = 10,
-                        seed: int = 0,
-                        amplitude: Optional[float] = None) -> DriSample:
-    """Draw one final-value Riccati-inequality solution via a random
-    piecewise-constant PSD forcing subtracted from the state-weight side."""
-    flow = _RicFlow(sys, cost, grid)
-    if amplitude is None:
-        amplitude = forcing_amplitude(cost)
-    hvals = draw_forcing(sys.n, switch_points, seed, amplitude)[None]
-    step_to_interval = _step_intervals(switch_bounds(grid.steps,
-                                                     switch_points))
-    lam0 = as_matrix(lambda_f)
-    values, escaped, escape_time = _sweep(flow, lam0[None], grid,
-                                          (hvals, step_to_interval))
-
-    node_interval = np.append(step_to_interval, step_to_interval[-1])
-    forcing_nodes = hvals[0][node_interval]
-    lam_traj = MatTrajectory(grid, values[0], meta="dri-sample")
-    forcing_traj = MatTrajectory(grid, forcing_nodes, meta="dri-forcing")
-    residual = _residual_sweep(values[0], flow, grid,
-                               forcing_nodes=forcing_nodes,
-                               step_interval=step_to_interval)
-    return DriSample(
-        lam=lam_traj,
-        forcing=forcing_traj,
-        escaped=bool(escaped[0]),
-        escape_time=float(escape_time[0]) if escaped[0] else None,
-        residual_max=residual,
-    )
-
-
 def solve_lyapunov_final(F, H, X_T, grid: TimeGrid) -> MatTrajectory:
     """Backward RK4 integration of -dX/dt = F^T X + X F + H from X(T)=X_T,
     that is of dX/dt = G X + X G^T - H with G = -F^T.
@@ -450,7 +391,7 @@ def solve_lyapunov_final(F, H, X_T, grid: TimeGrid) -> MatTrajectory:
     values = propagate_lyapunov(lambda t: coeff_on(g, t, grid),
                                 lambda t: -coeff_on(hc, t, grid),
                                 0.5 * (xt + xt.T), grid, backward=True)
-    return MatTrajectory(grid, values, meta="lyapunov-final")
+    return MatTrajectory(grid, values)
 
 
 @dataclass(frozen=True)

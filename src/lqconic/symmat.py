@@ -64,14 +64,6 @@ class SymMat:
         self.n = a.shape[0]
         self.mat = m
 
-    @classmethod
-    def zeros(cls, n: int) -> "SymMat":
-        return cls(np.zeros((n, n)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMat":
-        return cls(np.eye(n))
-
     def __array__(self, dtype=None, copy=None):
         if dtype is not None:
             return self.mat.astype(dtype)

@@ -89,12 +89,12 @@ def test_criterion_03_zero_duality_gap():
                                        variant=variant))
         fine = solve_lqr(ProblemSpec(sys=sysm, grid=TimeGrid(T=1.0, steps=400),
                                      variant=variant))
-        bound = max(1e-6, 1e-3 * abs(coarse.dual_value))
-        assert abs(coarse.primal_value - coarse.dual_value) <= bound
+        bound = max(1e-6, 1e-3 * abs(coarse.optimal_value))
+        assert abs(coarse.primal_value - coarse.optimal_value) <= bound
         # quadrature converges at second order, so doubling the node count
         # shrinks the gap about 4x; skip the ratio when it is already at
         # rounding level
-        if fine.duality_gap > 1e-12 * (1.0 + abs(fine.dual_value)):
+        if fine.duality_gap > 1e-12 * (1.0 + abs(fine.optimal_value)):
             assert coarse.duality_gap / fine.duality_gap >= 3.9
 
 
@@ -212,12 +212,12 @@ def test_criterion_09_stochastic_consistency():
                        variant=StochLQR(cost=cost, X_i=np.zeros((1, 1)),
                                         W=np.eye(1)))
     cert = solve_stoch_lqr(spec)
-    assert abs(cert.dual_value - LNCOSH1) <= 1e-6
+    assert abs(cert.optimal_value - LNCOSH1) <= 1e-6
 
     mean, stderr = monte_carlo_cost(sys1, cert.gain, cost, np.eye(1),
                                     np.zeros((1, 1)), grid,
                                     n_paths=10_000, seed=123)
-    assert abs(mean - cert.dual_value) <= 4.0 * stderr
+    assert abs(mean - cert.optimal_value) <= 4.0 * stderr
 
     det = solve_lqr(ProblemSpec(sys=sys1, grid=grid,
                                 variant=LQR(cost=cost, x_i=np.ones(1))))
@@ -279,7 +279,7 @@ def test_criterion_10_invariant_sweeps_under_budget():
     x02 = np.array([1.0, -0.5])
     spec2 = ProblemSpec(sys=sys2, grid=grid2, variant=LQR(cost=cost2, x_i=x02))
     qf2 = assemble_quadform(spec2)
-    dual2 = solve_lqr(spec2).dual_value
+    dual2 = solve_lqr(spec2).optimal_value
     for _ in range(30):
         gain = Gain(grid2, rng.uniform(-3, 3, (1, 2)))
         x, u = closed_loop_simulate(sys2, gain, x02, grid2)
@@ -311,7 +311,7 @@ def test_criterion_10_invariant_sweeps_under_budget():
         x = rng.uniform(-3, 3, (17, n))
         u = rng.uniform(-3, 3, (17, m))
         sigma = deterministic_covariance(x, u, g)
-        for node in sigma.sigma.values:
+        for node in sigma.values:
             assert eps_rank(node, tol=1e-9) <= 1
 
     assert time.perf_counter() - t0 < 60.0

@@ -232,22 +232,11 @@ def operator_nodes(values, flow, grid):
     return out
 
 
-def ref_residual_max(values, sys, cost, grid, forcing_nodes=None,
-                     step_interval=None):
+def ref_residual_max(values, sys, cost, grid):
     out, idx = ref_operator(values, sys, cost, grid)
     worst = 0.0
-    for j, k in enumerate(idx):
-        if step_interval is not None:
-            if j == 0:
-                s0, s1 = idx[0], idx[0] + 1
-            elif j == idx.size - 1:
-                s0, s1 = idx[-1] - 2, idx[-1] - 1
-            else:
-                s0, s1 = idx[j] - 1, idx[j]
-            if step_interval[s0] != step_interval[s1]:
-                continue
-        r = out[k] if forcing_nodes is None else out[k] - forcing_nodes[k]
-        worst = max(worst, float(np.max(np.abs(r))))
+    for k in idx:
+        worst = max(worst, float(np.max(np.abs(out[k]))))
     return worst
 
 
@@ -331,7 +320,7 @@ class TestStagesMatchLoops:
     def test_second_moments_exactly_symmetric(self, prob):
         # the [vec S; 1] flows are symmetrized once, after the last step
         n = prob.sys.n
-        sxx = prob.stoch.sigma.values[:, :n, :n]
+        sxx = prob.stoch.values[:, :n, :n]
         lyap = solve_lyapunov_final(prob.sys.A, prob.W, prob.X_i,
                                     prob.grid).values
         for v in (sxx, lyap):
@@ -360,7 +349,7 @@ class TestStagesMatchLoops:
         assert_close(prob.u, u)
 
     def test_stochastic_covariance(self, prob):
-        assert_close(prob.stoch.sigma.values,
+        assert_close(prob.stoch.values,
                      ref_stochastic(prob.sys, prob.gain, prob.W, prob.X_i,
                                     prob.grid))
 
@@ -369,15 +358,15 @@ class TestStagesMatchLoops:
         sig = getattr(prob, side)
         w = prob.W if side == "stoch" else None
         assert_close(primal_objective(sig, prob.qf),
-                     ref_primal(sig.sigma, prob.qf))
+                     ref_primal(sig, prob.qf))
         assert_close(descriptor_residual(sig, prob.sys, W=w),
-                     ref_descriptor(sig.sigma, prob.sys, w))
+                     ref_descriptor(sig, prob.sys, w))
 
     @pytest.mark.parametrize("mode", ["dre", "fd"])
     def test_alignment(self, prob, mode):
         got = alignment_residual(prob.stoch, prob.lam, prob.sys, prob.cost,
                                  prob.qf, lambda_dot_mode=mode)
-        assert_close(got, ref_alignment(prob.stoch.sigma, prob.lam, prob.sys,
+        assert_close(got, ref_alignment(prob.stoch, prob.lam, prob.sys,
                                         prob.cost, prob.qf, mode))
 
     def test_dual_w_integral(self, prob):
@@ -392,24 +381,6 @@ class TestStagesMatchLoops:
         got = operator_nodes(values, flow, prob.grid)
         assert_close(got, ref_operator(values, prob.sys, prob.cost,
                                        prob.grid)[0])
-
-    def test_forced_residual_sweep(self, prob):
-        # a forced sweep, as sample_dri_solution runs it: the stored forcing
-        # is subtracted and stencils straddling a switch are skipped
-        n = prob.sys.n
-        hvals = draw_forcing(n, 7, 3, 1.0)[None]
-        step_interval = _step_intervals(switch_bounds(prob.grid.steps, 7))
-        flow = _RicFlow(prob.sys, prob.cost, prob.grid)
-        values, escaped, _ = _sweep(flow, np.zeros((1, n, n)), prob.grid,
-                                    (hvals, step_interval))
-        assert not escaped[0]
-        forcing_nodes = hvals[0][np.append(step_interval, step_interval[-1])]
-        got = _residual_sweep(values[0], flow, prob.grid,
-                              forcing_nodes=forcing_nodes,
-                              step_interval=step_interval)
-        assert_close(got, ref_residual_max(values[0], prob.sys, prob.cost,
-                                           prob.grid, forcing_nodes,
-                                           step_interval))
 
     def test_gain_resampled_on_refined_grid(self, prob):
         fine = prob.grid.refined(2)

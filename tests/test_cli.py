@@ -14,6 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from lqconic import cli
 from lqconic.cli import (DocumentError, load_trajectory_csv, main,
                          parse_problem, problem_sha256)
 from lqconic.model import GeneralIQC, LQR, TimeGrid
@@ -91,23 +92,27 @@ def load_schema(name):
     return json.loads((REPO / "docs" / "schema" / name).read_text())
 
 
-# keys the problem schema does not allow (additionalProperties false): the
-# retired escape cap, a misspelled option, unknown keys elsewhere, and keys
-# of one variant set on another; with the object they go into (None for
-# the root), the field path of the error and the document they go into
-UNKNOWN_KEYS = [
-    ("options", "escape_cap", 1e9, "options.escape_cap", lqr_doc),
-    ("options", "tolerance", 5, "options.tolerance", lqr_doc),
-    (None, "extra_top", 1, r"\$\.extra_top", lqr_doc),
-    ("system", "E", [[1.0]], "system.E", lqr_doc),
-    ("horizon", "t0", 0.0, "horizon.t0", lqr_doc),
-    ("variant", "gamma", 3.0, "variant.gamma", lqr_doc),
-    ("variant", "Q", [[1.0]], "variant.Q", br_doc),
-    ("variant", "W", [[1.0]], "variant.W", pr_doc),
+# documents the problem schema rejects: keys it does not allow
+# (additionalProperties false) -- the retired escape cap, a misspelled
+# option, unknown keys elsewhere, and keys of one variant set on another --
+# and a horizon of zero steps (minimum 1); with the object the key goes
+# into (None for the root), the field path and text of the error and the
+# document the key goes into
+BAD_DOCUMENTS = [
+    ("options", "escape_cap", 1e9, "options.escape_cap", "unknown key",
+     lqr_doc),
+    ("options", "tolerance", 5, "options.tolerance", "unknown key", lqr_doc),
+    (None, "extra_top", 1, r"\$\.extra_top", "unknown key", lqr_doc),
+    ("system", "E", [[1.0]], "system.E", "unknown key", lqr_doc),
+    ("horizon", "t0", 0.0, "horizon.t0", "unknown key", lqr_doc),
+    ("variant", "gamma", 3.0, "variant.gamma", "unknown key", lqr_doc),
+    ("variant", "Q", [[1.0]], "variant.Q", "unknown key", br_doc),
+    ("variant", "W", [[1.0]], "variant.W", "unknown key", pr_doc),
+    ("horizon", "steps", 0, "horizon", "steps must be >= 1", lqr_doc),
 ]
 
 
-def unknown_key_doc(where, key, value, base):
+def bad_document(where, key, value, base):
     doc = base(steps=64)
     (doc if where is None else doc.setdefault(where, {}))[key] = value
     return doc
@@ -127,16 +132,16 @@ class TestProblemParsing:
         _, options = parse_problem(doc)
         assert options == {"tol": 1e-7, "seed": 3}
 
-    @pytest.mark.parametrize("where,key,value,field,base", UNKNOWN_KEYS,
-                             ids=[k[1] for k in UNKNOWN_KEYS])
+    @pytest.mark.parametrize("where,key,value,field,said,base", BAD_DOCUMENTS,
+                             ids=[k[1] for k in BAD_DOCUMENTS])
     def test_unknown_key_rejected(self, tmp_path, capsys, where, key, value,
-                                  field, base):
-        doc = unknown_key_doc(where, key, value, base)
+                                  field, said, base):
+        doc = bad_document(where, key, value, base)
         with pytest.raises(DocumentError, match=field):
             parse_problem(doc)
         rc, out, err = run(capsys, ["lqr", write_doc(tmp_path, doc)])
         assert rc == 1 and out == ""
-        assert "unknown key" in err
+        assert said in err
 
     @pytest.mark.parametrize("key", ["tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
@@ -574,7 +579,6 @@ class TestVerifyCommand:
         ppath, rpath, _ = self._solve(tmp_path, capsys, lqr_doc(steps=128))
         res = json.loads(Path(rpath).read_text())
         res["optimal_value"] = 0.5
-        res["dual_value"] = 0.5
         Path(rpath).write_text(json.dumps(res))
         rc, out, _ = run(capsys, ["verify", ppath, rpath])
         assert rc == 4
@@ -606,6 +610,42 @@ class TestVerifyCommand:
         assert "escape_confirmed" in out
         assert out.strip().endswith("PASS")
 
+    @pytest.mark.parametrize("cmd,doc,flags", [
+        ("lqr", lqr_doc(steps=128), ["--T", "2"]),
+        ("iqc", iqc_doc(steps=128), ["--T", "3"]),
+        ("lqr", lqr_doc(steps=128), ["--steps", "64"]),
+    ], ids=["lqr-T", "iqc-T", "lqr-steps"])
+    def test_overridden_grid_verifies(self, tmp_path, capsys, monkeypatch,
+                                      cmd, doc, flags):
+        # verify re-solves on the grid the result records, which --T and
+        # --steps set apart from the document's horizon
+        ppath = write_doc(tmp_path, doc)
+        rpath = tmp_path / "result.json"
+        run(capsys, [cmd, ppath, "--out", str(rpath)] + flags)
+        claimed = TimeGrid(**json.loads(rpath.read_text())["grid"])
+        grids, verify = [], cli.verify_solution
+
+        def spy(spec, cert):
+            grids.append(spec.grid)
+            return verify(spec, cert)
+
+        monkeypatch.setattr(cli, "verify_solution", spy)
+        rc, out, _ = run(capsys, ["verify", ppath, str(rpath)])
+        assert rc == 0 and out.strip().endswith("PASS")
+        assert grids == [claimed]
+
+    @pytest.mark.parametrize("key,value", [
+        ("steps", 64.5), ("steps", True), ("steps", 0), ("steps", None),
+        ("T", 0.0), ("T", -1.0), ("T", True), ("T", "1")])
+    def test_result_grid_checked(self, tmp_path, capsys, key, value):
+        ppath, rpath, _ = self._solve(tmp_path, capsys, lqr_doc(steps=128))
+        res = json.loads(Path(rpath).read_text())
+        res["grid"][key] = value
+        Path(rpath).write_text(json.dumps(res))
+        rc, out, err = run(capsys, ["verify", ppath, rpath])
+        assert rc == 1 and out == ""
+        assert "result.grid" in err
+
     def test_result_missing_field(self, tmp_path, capsys):
         ppath, rpath, _ = self._solve(tmp_path, capsys, lqr_doc(steps=128))
         res = json.loads(Path(rpath).read_text())
@@ -634,6 +674,10 @@ def _bump_mid_gain(res):
     nodes[mid] = [v + 1.0 for v in nodes[mid]]
 
 
+def _bump_horizon(res):
+    res["grid"]["T"] += 1.0
+
+
 def _zero_gains(res):
     res["gain"]["nodes"] = [[0.0] * len(v) for v in res["gain"]["nodes"]]
 
@@ -654,7 +698,8 @@ class TestVerifyMutations:
     ESCAPING = ("iqc_escaping", "not_passive")
     # field -> (tampering, the documents that carry the field): escaping
     # documents have no value and no gain, finite ones no escape time, and
-    # only the passivity documents a verdict
+    # only the passivity documents a verdict. A longer horizon changes
+    # every claim but the passive document's (value 0, still passive)
     TAMPER = {
         "optimal_value": (_bump("optimal_value"), FINITE),
         "escape_time": (_bump("escape_time"), ESCAPING),
@@ -662,6 +707,8 @@ class TestVerifyMutations:
         "gain_zeroed": (_zero_gains, FINITE),
         "minus_infinity": (_flip("minus_infinity"), FINITE + ESCAPING),
         "verdict": (_flip("verdict"), ("passive", "not_passive")),
+        "grid_T": (_bump_horizon,
+                   ("lqr", "stoch_lqr", "iqc_finite") + ESCAPING),
     }
 
     @pytest.fixture(scope="class")
@@ -715,9 +762,9 @@ class TestSchemaConformance:
         bad = lqr_doc()
         del bad["system"]
         assert not validator.is_valid(bad)
-        for where, key, value, _, base in UNKNOWN_KEYS:
-            assert not validator.is_valid(unknown_key_doc(where, key, value,
-                                                          base))
+        for where, key, value, _, _, base in BAD_DOCUMENTS:
+            assert not validator.is_valid(bad_document(where, key, value,
+                                                       base))
 
     def test_emitted_results_validate(self, tmp_path, capsys):
         schema = load_schema("result.schema.json")

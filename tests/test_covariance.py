@@ -103,16 +103,14 @@ class TestDeterministicCovariance:
         x = np.array([[2.0], [1.0]])
         u = np.array([[-1.0], [0.5]])
         sig = deterministic_covariance(x, u, grid)
-        np.testing.assert_allclose(sig.sigma.node(0),
-                                   [[4.0, -2.0], [-2.0, 1.0]])
-        assert sig.kind == "deterministic"
+        np.testing.assert_allclose(sig.node(0), [[4.0, -2.0], [-2.0, 1.0]])
 
     def test_rank_one_everywhere(self):
         grid, qf, dre = scalar_setup(steps=64)
         gain = gain_from_dual(dre.lam, SYS, COST)
         x, u = closed_loop_simulate(SYS, gain, [1.0], grid)
         sig = deterministic_covariance(x, u, grid)
-        assert all(eps_rank(sig.sigma.node(k)) <= 1 for k in range(65))
+        assert all(eps_rank(sig.node(k)) <= 1 for k in range(65))
 
 
 class TestStochasticCovariance:
@@ -120,21 +118,21 @@ class TestStochasticCovariance:
         grid = TimeGrid(T=1.0, steps=32)
         g = Gain.constant(np.zeros((1, 1)), grid)
         sig = stochastic_covariance(SYS, g, [[0.0]], [[0.0]], grid)
-        assert np.abs(sig.sigma.values).max() == 0.0
+        assert np.abs(sig.values).max() == 0.0
 
     def test_pure_diffusion_linear_growth(self):
         grid = TimeGrid(T=1.0, steps=64)
         g = Gain.constant(np.zeros((1, 1)), grid)
         sig = stochastic_covariance(SYS, g, [[1.0]], [[0.0]], grid)
         t = grid.times()
-        np.testing.assert_allclose(sig.sigma.values[:, 0, 0], t, atol=1e-10)
+        np.testing.assert_allclose(sig.values[:, 0, 0], t, atol=1e-10)
 
     def test_block_structure(self):
         grid, qf, dre = scalar_setup(steps=64)
         gain = gain_from_dual(dre.lam, SYS, COST)
         sig = stochastic_covariance(SYS, gain, [[1.0]], [[1.0]], grid)
         for k in (0, 32, 64):
-            s = sig.sigma.node(k)
+            s = sig.node(k)
             kk = gain.node(k)[0, 0]
             assert s[0, 1] == pytest.approx(-s[0, 0] * kk, abs=1e-12)
             assert s[1, 1] == pytest.approx(s[0, 0] * kk * kk, abs=1e-12)
@@ -143,16 +141,15 @@ class TestStochasticCovariance:
         grid, qf, dre = scalar_setup(steps=64)
         gain = gain_from_dual(dre.lam, SYS, COST)
         sig = stochastic_covariance(SYS, gain, [[1.0]], [[2.0]], grid)
-        eigs = np.linalg.eigvalsh(sig.sigma.values)
+        eigs = np.linalg.eigvalsh(sig.values)
         assert eigs.min() >= -1e-12
 
 
 class TestPrimalObjective:
     def test_constant_identity(self):
         grid, qf, _ = scalar_setup(steps=8)
-        from lqconic import CovTrajectory, MatTrajectory
-        sig = CovTrajectory(MatTrajectory(grid, np.stack([np.eye(2)] * 9)),
-                            kind="deterministic")
+        from lqconic import MatTrajectory
+        sig = MatTrajectory(grid, np.stack([np.eye(2)] * 9))
         assert primal_objective(sig, qf) == pytest.approx(2.0, abs=1e-12)
 
     def test_optimal_value_matches_dual(self):
@@ -169,9 +166,8 @@ class TestDescriptorResidual:
     def test_static_zero_system(self):
         grid = TimeGrid(T=1.0, steps=16)
         sys = StateSpace(A=[[0.0]], B=[[0.0]])
-        from lqconic import CovTrajectory, MatTrajectory
-        sig = CovTrajectory(MatTrajectory(grid, np.stack([np.eye(2)] * 17)),
-                            kind="deterministic")
+        from lqconic import MatTrajectory
+        sig = MatTrajectory(grid, np.stack([np.eye(2)] * 17))
         assert descriptor_residual(sig, sys) == 0.0
 
     def test_simulated_loop_small(self):
@@ -205,8 +201,8 @@ class TestDescriptorResidual:
         grid = TimeGrid(T=1.0, steps=32)
         rng = np.random.default_rng(30)
         vals = np.stack([np.eye(2) * (1 + k) for k in range(33)])
-        from lqconic import CovTrajectory, MatTrajectory
-        sig = CovTrajectory(MatTrajectory(grid, vals), kind="deterministic")
+        from lqconic import MatTrajectory
+        sig = MatTrajectory(grid, vals)
         assert descriptor_residual(sig, SYS) > 1.0
 
 
@@ -220,9 +216,8 @@ class TestAlignmentResidual:
 
     def test_zero_covariance_zero_residual(self):
         grid, qf, dre = scalar_setup(steps=32)
-        from lqconic import CovTrajectory, MatTrajectory
-        sig = CovTrajectory(MatTrajectory(grid, np.zeros((33, 2, 2))),
-                            kind="deterministic")
+        from lqconic import MatTrajectory
+        sig = MatTrajectory(grid, np.zeros((33, 2, 2)))
         assert alignment_residual(sig, dre.lam, SYS, COST, qf) == 0.0
 
     def test_suboptimal_gain_reproduces_gap(self):

@@ -20,12 +20,12 @@ from lqconic import (
     TimeGrid,
     assemble_M,
     assemble_quadform,
+    dri_cloud,
     dual_objective,
     eps_rank,
     extremal_factorization,
     feasibility,
     lure_residuals,
-    sample_dri_solution,
     solve_dre_final,
 )
 
@@ -38,6 +38,13 @@ def scalar_setup(steps=512, T=1.0):
     spec = ProblemSpec(sys=SYS, grid=grid,
                        variant=LQR(cost=COST, x_i=[1.0]))
     return grid, assemble_quadform(spec)
+
+
+def forced_sample(grid, seed):
+    """One forced Riccati-inequality solution from a zero final value."""
+    spec = ProblemSpec(sys=SYS, grid=grid,
+                       variant=LQR(cost=COST, x_i=[1.0]))
+    return dri_cloud(spec, n_samples=1, seed=seed).samples[0]
 
 
 class TestAssembleM:
@@ -125,7 +132,7 @@ class TestFeasibility:
 
     def test_forced_sample_strictly_feasible(self):
         grid, qf = scalar_setup()
-        s = sample_dri_solution(SYS, COST, [[0.0]], grid, seed=2)
+        s = forced_sample(grid, seed=2)
         cert = feasibility(s.lam, SYS, qf, tol=1e-3)
         assert cert.feasible
         assert cert.min_eig.min() > 1e-4  # forcing pushes M inside the cone
@@ -270,6 +277,6 @@ class TestDualObjective:
     def test_forced_sample_certifies_less(self):
         grid, qf = scalar_setup()
         dre = solve_dre_final(SYS, COST, [[0.0]], grid)
-        s = sample_dri_solution(SYS, COST, [[0.0]], grid, seed=2)
+        s = forced_sample(grid, seed=2)
         assert dual_objective(s.lam, x_i=[1.0]) <= \
             dual_objective(dre.lam, x_i=[1.0]) + 1e-12

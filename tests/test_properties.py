@@ -22,7 +22,7 @@ from lqconic.covariance import (Gain, alignment_residual,
                                 closed_loop_simulate,
                                 deterministic_covariance, descriptor_residual,
                                 primal_objective)
-from lqconic.analyzers import (bounded_real_test, iqc_infimum,
+from lqconic.analyzers import (bounded_real_test, dri_cloud, iqc_infimum,
                                passivity_test, solve_lqr, solve_stoch_lqr)
 from lqconic.cli import (load_trajectory_csv, main, parse_problem,
                          write_trajectory_csv)
@@ -30,8 +30,7 @@ from lqconic.dlmi import dual_objective
 from lqconic.model import (CostData, LQR, ProblemSpec, StateSpace, TimeGrid,
                            ValidationError, apply_A_adj, apply_Aop, apply_E,
                            apply_E_adj, assemble_quadform)
-from lqconic.riccati import (MatTrajectory, sample_dri_solution,
-                             solve_dre_final)
+from lqconic.riccati import MatTrajectory, solve_dre_final
 from lqconic.symmat import eps_rank, trace_inner
 
 QUICK = settings(max_examples=25, deadline=None)
@@ -138,8 +137,10 @@ class TestForcedSolutionsStayBelow:
         cost = CostData(Q=np.eye(1), N=None, R=np.eye(1))
         grid = TimeGrid(T=1.0, steps=96)
         dre = solve_dre_final(sys_, cost, np.zeros((1, 1)), grid)
-        sample = sample_dri_solution(sys_, cost, np.zeros((1, 1)), grid,
-                                     switch_points=6, seed=seed)
+        spec = ProblemSpec(sys=sys_, grid=grid,
+                           variant=LQR(cost=cost, x_i=[0.0]))
+        sample = dri_cloud(spec, n_samples=1, switch_points=6,
+                           seed=seed).samples[0]
         mask = sample.lam.valid_mask()
         gap = dre.lam.values[mask] - sample.lam.values[mask]
         assert gap.min() >= -1e-7
@@ -180,7 +181,7 @@ class TestCovarianceStructure:
         x = draw_matrix(data, steps + 1, n, -3, 3)
         u = draw_matrix(data, steps + 1, m, -3, 3)
         sigma = deterministic_covariance(x, u, grid)
-        for node in sigma.sigma.values:
+        for node in sigma.values:
             scale = 1.0 + np.abs(node).max()
             assert np.linalg.eigvalsh(node).min() >= -1e-9 * scale
             assert eps_rank(node, tol=1e-9) <= 1

@@ -15,7 +15,6 @@ from lqconic import (
     StateSpace,
     TimeGrid,
     loewner_compare,
-    sample_dri_solution,
     solve_dre_final,
     solve_lyapunov_final,
 )
@@ -185,27 +184,33 @@ class TestForcingDraws:
             switch_bounds(5, 10)
 
 
+def forced_samples(steps, n_samples=1, seed=0, switch_points=10):
+    """Forced Riccati-inequality solutions of the scalar q = r = 1 problem
+    on [0, 1] from a zero final value, with the cloud's extremal."""
+    return dri_cloud(scalar_preset(1, 1, T=1.0, steps=steps),
+                     n_samples=n_samples, switch_points=switch_points,
+                     seed=seed)
+
+
 class TestSampleDri:
     def test_zero_amplitude_reproduces_dre(self):
+        # the cloud's extremal is a sample of the forced sweep whose
+        # forcing is zero
         g = TimeGrid(T=1.0, steps=256)
         dre = solve_dre_final(scalar_system(), scalar_cost(), [[0.0]], g)
-        s = sample_dri_solution(scalar_system(), scalar_cost(), [[0.0]], g,
-                                seed=3, amplitude=0.0)
-        assert np.array_equal(dre.lam.values, s.lam.values)
+        report = forced_samples(256, n_samples=3, seed=3)
+        assert np.array_equal(dre.lam.values, report.dre.lam.values)
 
     def test_samples_below_final_extremal(self):
         g = TimeGrid(T=1.0, steps=256)
         dre = solve_dre_final(scalar_system(), scalar_cost(), [[0.0]], g)
-        for seed in range(10):
-            s = sample_dri_solution(scalar_system(), scalar_cost(), [[0.0]],
-                                    g, seed=seed)
-            v = loewner_compare(dre.as_trajectory(), s.lam)
+        for s in forced_samples(256, n_samples=10).samples:
+            v = loewner_compare(dre.lam, s.lam)
             assert v.margin_ab >= -1e-7
 
     def test_residual_matches_stored_forcing(self):
         g = TimeGrid(T=1.0, steps=256)
-        s = sample_dri_solution(scalar_system(), scalar_cost(), [[0.0]], g,
-                                seed=5)
+        s = forced_samples(256, seed=5).samples[0]
         # the Riccati operator along the sample, node by node
         res = np.empty_like(s.lam.values)
         flow = riccati._RicFlow(scalar_system(), scalar_cost(), g)
@@ -220,20 +225,16 @@ class TestSampleDri:
         diff = np.abs(res - s.forcing.values)[clean]
         scale = 1.0 + np.abs(s.forcing.values).max()
         assert np.nanmax(diff) <= 1e-3 * scale
-        assert s.residual_max <= 1e-3 * scale
 
     def test_forcing_piecewise_constant(self):
-        g = TimeGrid(T=1.0, steps=100)
-        s = sample_dri_solution(scalar_system(), scalar_cost(), [[0.0]], g,
-                                seed=7, switch_points=5)
+        s = forced_samples(100, seed=7, switch_points=5).samples[0]
         distinct = {tuple(v.ravel()) for v in s.forcing.values}
         assert len(distinct) <= 5
 
     def test_seed_determinism(self):
-        g = TimeGrid(T=1.0, steps=64)
-        a = sample_dri_solution(scalar_system(), scalar_cost(), [[0.0]], g, seed=9)
-        b = sample_dri_solution(scalar_system(), scalar_cost(), [[0.0]], g, seed=9)
-        c = sample_dri_solution(scalar_system(), scalar_cost(), [[0.0]], g, seed=10)
+        a = forced_samples(64, seed=9).samples[0]
+        b = forced_samples(64, seed=9).samples[0]
+        c = forced_samples(64, seed=10).samples[0]
         assert np.array_equal(a.lam.values, b.lam.values)
         assert not np.array_equal(a.lam.values, c.lam.values)
 
@@ -303,7 +304,7 @@ def unscreened_past_singular(d):
 
 
 class TestEscapePrescreen:
-    """The screen ||X - I||_F >= 1 changes which step denominators reach
+    """The screen ||X - I||_F >= 0.9 changes which step denominators reach
     eigvals, never an escape verdict."""
 
     @settings(max_examples=80, deadline=None)
@@ -315,7 +316,8 @@ class TestEscapePrescreen:
         # per denominator: I + E with E random, a pair of eigenvalues
         # moving to zero together (det X stays positive), or a rank-one
         # shrink of one eigenvalue, at a distance from the identity just
-        # inside or outside the screen's bound, or clearly on either side
+        # inside or outside the screen's bound (0.9) or the distance at
+        # which an eigenvalue reaches zero (1), or clearly on either side
         d = np.empty((size, n, n))
         for i in range(size):
             shape = data.draw(st.sampled_from(["random", "pair", "rank1"]))
@@ -328,7 +330,8 @@ class TestEscapePrescreen:
                 u = rng.standard_normal(n)
                 e = -np.outer(u, u)
             dist = data.draw(st.sampled_from(
-                [0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5, 2.0, 10.0]))
+                [0.5, 0.9 - 1e-12, 0.9, 0.9 + 1e-12, 1.0 - 1e-12, 1.0,
+                 1.0 + 1e-12, 1.5, 2.0, 10.0]))
             d[i] = np.eye(n) + e * (dist / np.linalg.norm(e))
             bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
             if bad is not None:
