@@ -143,7 +143,13 @@ def _matrix(doc, key, path, required=True):
     return arr
 
 
-# the keys the problem schema allows in each variant object
+# the keys the problem schema allows in each object, and in each variant
+_OBJECT_KEYS = {
+    "$": ("schema_version", "system", "horizon", "variant", "options"),
+    "system": ("A", "B", "C", "D"),
+    "horizon": ("T", "steps"),
+    "options": ("seed",),
+}
 _VARIANT_KEYS = {
     "lqr": ("type", "Q", "N", "R", "x_i"),
     "stoch_lqr": ("type", "Q", "N", "R", "X_i", "W"),
@@ -197,15 +203,14 @@ def parse_problem(doc, steps_override=None, T_override=None):
     """
     if not isinstance(doc, dict):
         raise DocumentError("$", "document root must be a JSON object")
-    _known_keys(doc, "$", ("schema_version", "system", "horizon", "variant",
-                           "options"))
+    _known_keys(doc, "$", _OBJECT_KEYS["$"])
     sv = doc.get("schema_version")
     if sv != SCHEMA_VERSION:
         raise DocumentError("schema_version",
                             f"expected {SCHEMA_VERSION!r}, got {sv!r}")
 
     system = _obj(doc, "system", "$")
-    _known_keys(system, "system", ("A", "B", "C", "D"))
+    _known_keys(system, "system", _OBJECT_KEYS["system"])
     try:
         sys_obj = StateSpace(
             A=_matrix(system, "A", "system"),
@@ -217,7 +222,7 @@ def parse_problem(doc, steps_override=None, T_override=None):
         raise DocumentError("system", str(e)) from e
 
     horizon = _obj(doc, "horizon", "$", required=False) or {}
-    _known_keys(horizon, "horizon", ("T", "steps"))
+    _known_keys(horizon, "horizon", _OBJECT_KEYS["horizon"])
     T = T_override if T_override is not None else _num(
         horizon, "T", "horizon", required=T_override is None)
     steps = _int(horizon, "steps", "horizon", required=False)
@@ -228,20 +233,14 @@ def parse_problem(doc, steps_override=None, T_override=None):
     variant = _variant_from_doc(_obj(doc, "variant", "$"))
 
     opts_doc = _obj(doc, "options", "$", required=False) or {}
-    _known_keys(opts_doc, "options", ("tol", "seed"))
-    options = {
-        "tol": _num(opts_doc, "tol", "options", required=False, default=1e-9),
-        "seed": _num(opts_doc, "seed", "options", required=False, default=0),
-    }
-    if not options["tol"] > 0:
-        raise DocumentError("options.tol",
-                            f"must be positive, got {options['tol']!r}")
+    _known_keys(opts_doc, "options", _OBJECT_KEYS["options"])
+    seed = _num(opts_doc, "seed", "options", required=False, default=0)
     # the schema's integer >= 0; a fractional seed must not be truncated
-    if not (options["seed"].is_integer() and options["seed"] >= 0):
+    if not (seed.is_integer() and seed >= 0):
         raise DocumentError("options.seed", "must be a nonnegative integer, "
                                             f"got {opts_doc['seed']!r}")
-    options["seed"] = int(options["seed"])
-    return ProblemSpec(sys=sys_obj, grid=grid, variant=variant), options
+    return ProblemSpec(sys=sys_obj, grid=grid, variant=variant), \
+        {"seed": int(seed)}
 
 
 def problem_sha256(doc) -> str:
@@ -292,10 +291,7 @@ def certificate_document(cert: Certificate, problem_hash: str,
         "escape_time": _json_num(cert.escape_time),
         "primal_value": _json_num(cert.primal_value),
         "duality_gap": _json_num(cert.duality_gap),
-        "alignment": _json_num(cert.alignment),
-        "dual_min_eig": _json_num(cert.dual_min_eig),
         "descriptor_residual": _json_num(cert.descriptor_residual),
-        "rank_ok": bool(cert.rank_ok),
         "gain": _gain_payload(cert.gain),
         "timing_seconds": float(timing),
     }
@@ -363,19 +359,14 @@ def _export_certificate_csvs(cert: Certificate, csv_dir):
 def _load_problem(args, expected, wrong: str):
     """Load and parse a subcommand's problem document and check that its
     variant is one of ``expected`` (``wrong`` is the error text, with
-    {got} for the variant found). --tol, where the subcommand has it,
-    overrides options["tol"] and, like it, must be positive. Returns
-    (document, ProblemSpec, options)."""
+    {got} for the variant found). Returns (document, ProblemSpec,
+    options)."""
     doc = _load_json(args.problem)
     spec, options = parse_problem(doc, steps_override=args.steps,
                                   T_override=args.T)
     if not isinstance(spec.variant, expected):
         raise DocumentError("variant.type", wrong.format(
             got=type(spec.variant).__name__))
-    if getattr(args, "tol", None) is not None:
-        if not args.tol > 0:
-            raise DocumentError("--tol", f"must be positive, got {args.tol!r}")
-        options["tol"] = args.tol
     return doc, spec, options
 
 
@@ -385,18 +376,18 @@ def _load_problem(args, expected, wrong: str):
 _CERTIFICATE_COMMANDS = {
     "lqr": ("deterministic regulator optimum", LQR,
             "subcommand 'lqr' needs a 'lqr' problem, got {got}",
-            lambda spec, **kw: solve_lqr(spec, **kw)),
+            lambda spec: solve_lqr(spec)),
     "slqr": ("stochastic regulator optimum", StochLQR,
              "subcommand 'stoch_lqr' needs a 'stoch_lqr' problem, got {got}",
-             lambda spec, **kw: solve_stoch_lqr(spec, **kw)),
+             lambda spec: solve_stoch_lqr(spec)),
     "iqc": ("sign-indefinite quadratic infimum", GeneralIQC,
             "subcommand 'general_iqc' needs a 'general_iqc' problem, "
             "got {got}",
-            lambda spec, **kw: iqc_infimum(spec, **kw)),
+            lambda spec: iqc_infimum(spec)),
     "passivity": ("finite-horizon passivity test", PositiveReal,
                   "subcommand 'passivity' needs a positive_real problem",
-                  lambda spec, **kw: passivity_test(
-                      spec.sys, spec.grid.T, steps=spec.grid.steps, **kw)[1]),
+                  lambda spec: passivity_test(
+                      spec.sys, spec.grid.T, steps=spec.grid.steps)[1]),
 }
 
 
@@ -404,9 +395,9 @@ def cmd_certificate(args):
     """Run a certificate subcommand: exit 3 on a failed verdict, 2 on a
     minus-infinity value, 0 otherwise."""
     _, expected, wrong, run = _CERTIFICATE_COMMANDS[args.command]
-    doc, spec, options = _load_problem(args, expected, wrong)
+    doc, spec, _ = _load_problem(args, expected, wrong)
     t0 = time.perf_counter()
-    cert = run(spec, tol=options["tol"])
+    cert = run(spec)
     timing = time.perf_counter() - t0
     result = certificate_document(cert, problem_sha256(doc), timing)
     _emit(result, args.out)
@@ -420,9 +411,9 @@ def cmd_certificate(args):
 def cmd_hinf(args):
     doc, spec, _ = _load_problem(
         args, BoundedReal, "subcommand 'hinf' needs a bounded_real problem")
-    # --tol is the bracket width; the document's options.tol is a
-    # certificate tolerance, so without the flag the bisection keeps its
-    # own default
+    # --tol is the bracket width; without it the bisection keeps its own
+    if args.tol is not None and not args.tol > 0:
+        raise DocumentError("--tol", f"must be positive, got {args.tol!r}")
     width = {} if args.tol is None else {"tol": args.tol}
     t0 = time.perf_counter()
     res = hinf_norm_bisection(spec.sys, spec.grid.T, steps=spec.grid.steps,
@@ -469,26 +460,37 @@ def cmd_dri_cloud(args):
 
 
 def _certificate_from_document(res: dict) -> Certificate:
-    """The claims verify checks: variant, grid, minus_infinity,
-    optimal_value, escape_time, verdict and gain. The grid must hold
-    integer steps and a finite positive T, like a problem horizon."""
+    """The claims verify checks, each of its type: the grid (integer steps,
+    finite positive T), boolean flags (verdict may be absent), numbers or
+    null, and a gain of m*n finite entries at every node of the grid."""
     for key in ("variant", "grid", "minus_infinity"):
         if key not in res:
             raise DocumentError(f"result.{key}", "missing required field")
     gdoc = _obj(res, "grid", "result")
     grid = _grid(_num(gdoc, "T", "result.grid"),
                  _int(gdoc, "steps", "result.grid"), "result.grid")
+    for key in ("minus_infinity", "verdict"):
+        if not isinstance(res.get(key, False), bool):
+            raise DocumentError(f"result.{key}", "must be a boolean, got "
+                                                 f"{res[key]!r}")
     gain = None
-    gdata = res.get("gain")
+    gdata = _obj(res, "gain", "result", required=False)
     if gdata is not None:
-        nodes = np.asarray(gdata["nodes"], dtype=float)
-        m, n = int(gdata["m"]), int(gdata["n"])
-        gain = Gain(grid, nodes.reshape(grid.steps + 1, m, n))
-    return Certificate(variant=str(res["variant"]),
-                       minus_infinity=bool(res["minus_infinity"]), grid=grid,
-                       optimal_value=res.get("optimal_value"),
-                       escape_time=res.get("escape_time"), gain=gain,
-                       verdict=res.get("verdict"))
+        m, n = _int(gdata, "m", "result.gain"), _int(gdata, "n", "result.gain")
+        nodes = _matrix(gdata, "nodes", "result.gain")
+        if min(m, n) < 1 or nodes.shape != (grid.steps + 1, m * n):
+            raise DocumentError("result.gain", (
+                f"needs {grid.steps + 1} nodes of m*n = {m}*{n} entries, "
+                f"got an array of shape {nodes.shape}"))
+        if not np.isfinite(nodes).all():
+            raise DocumentError("result.gain.nodes", "non-finite entries")
+        gain = Gain(grid, nodes.reshape(-1, m, n))
+    claims = {key: _num(res, key, "result", required=False) for key in (
+        "optimal_value", "escape_time", "primal_value", "duality_gap",
+        "descriptor_residual", "lam_max_eig")}
+    return Certificate(variant=res["variant"], grid=grid, gain=gain,
+                       minus_infinity=res["minus_infinity"],
+                       verdict=res.get("verdict"), **claims)
 
 
 def cmd_verify(args):
@@ -520,14 +522,11 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p, csv_dir=True, tol=True):
+def _add_common(p, csv_dir=True):
     p.add_argument("problem", help="path to a problem JSON document")
     p.add_argument("--out", default=None, help="result path (default stdout)")
     p.add_argument("--steps", type=int, default=None,
                    help="override grid steps (default document or 512)")
-    if tol:
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (default document options or 1e-9)")
     p.add_argument("--T", type=float, default=None,
                    help="override horizon length")
     if csv_dir:
@@ -551,11 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hinf", help="finite-horizon induced-norm bisection")
     _add_common(p, csv_dir=False)
+    p.add_argument("--tol", type=float, default=None,
+                   help="bracket width of the bisection (default 1e-4)")
     p.set_defaults(func=cmd_hinf)
 
     p = sub.add_parser("dri-cloud",
                        help="forced-inequality solution cloud experiment")
-    _add_common(p, csv_dir=False, tol=False)
+    _add_common(p, csv_dir=False)
     p.add_argument("--samples", type=int, default=100,
                    help="number of forced samples (default 100)")
     p.add_argument("--seed", type=int, default=None,

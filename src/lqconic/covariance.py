@@ -22,10 +22,10 @@ import numpy as np
 
 from ._num import (as_matrix, fd_derivative, node_blocks, propagate,
                    propagate_lyapunov, trapz)
-from .dlmi import _assemble_on, _lambda_dot
+from .dlmi import _assemble_on
 from .model import (CostData, QuadForm, StateSpace, TimeGrid, coeff_at,
                     coeff_on)
-from .riccati import MatTrajectory
+from .riccati import MatTrajectory, _ric_rhs, _RicFlow
 from .symmat import sym_factor
 
 __all__ = [
@@ -199,25 +199,27 @@ def descriptor_residual(sigma: MatTrajectory, sys: StateSpace,
 
 
 def alignment_residual(sigma: MatTrajectory, lambda_bar: MatTrajectory,
-                       sys: StateSpace, cost: CostData, quadform: QuadForm,
-                       lambda_dot_mode: str = "dre") -> float:
+                       sys: StateSpace, cost: CostData,
+                       quadform: QuadForm) -> float:
     """End-corrected trapezoid quadrature (`_num.trapz`) of the trace
     pairing between the dual residual matrix M(Lam) and the primal covariance.
 
-    With the Riccati-substituted derivative (mode "dre") M(Lam) is exactly
-    PSD along the extremal, so the integrand is nonnegative and the value
-    bounds the duality gap from above.
+    dLam/dt is the Riccati right-hand side of the cost, so M(Lam) is the
+    PSD rank-m product U U^T of `dlmi.extremal_factorization`, the integrand
+    is nonnegative and the value bounds the duality gap from above. For a
+    feedback u = -K x it is the integral of |R^{1/2}(K - K_Lam) x|^2, with
+    K_Lam the gain of Lam: it measures how far the gain is from Lam's.
     """
     grid = sigma.grid
     if lambda_bar.grid != grid or quadform.grid != grid:
         raise ValueError("primal, dual, and cost grids must agree")
-    lam_dot = _lambda_dot(lambda_bar.values, sys, cost, grid, lambda_dot_mode)
+    flow = _RicFlow(sys, cost, grid)
     times = grid.times()
     vals = np.empty(times.size)
     for block in node_blocks(times.size):
         t = times[block]
-        m = _assemble_on(lambda_bar.values[block], lam_dot(block, t), sys,
-                         quadform, t)
+        lam = lambda_bar.values[block]
+        m = _assemble_on(lam, _ric_rhs(flow.table(t), lam), sys, quadform, t)
         vals[block] = np.sum(m * sigma.values[block], axis=(1, 2))
     return trapz(vals, grid.h)
 

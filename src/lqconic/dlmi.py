@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._num import as_matrix, fd_derivative, node_blocks, trapz
-from .model import CostData, QuadForm, StateSpace, coeff_at, coeff_on
-from .riccati import MatTrajectory, _ric_data, _ric_rhs, _RicFlow
+from .model import QuadForm, StateSpace, coeff_at, coeff_on
+from .riccati import MatTrajectory, _ric_data, _ric_rhs
 from .symmat import M22NotPDError, SymFactor, SymMat
 
 __all__ = [
@@ -86,20 +86,6 @@ def _assemble_on(lam: np.ndarray, lam_dot: np.ndarray, sys: StateSpace,
                          coeff_on(quadform.Qmat, times, g))
 
 
-def _lambda_dot(values: np.ndarray, sys: StateSpace, cost: CostData, grid,
-                mode: str):
-    """dLam/dt of node samples as a function of (node block, block times):
-    centered differences ("fd") or the Riccati right-hand side of the cost
-    ("dre")."""
-    if mode == "fd":
-        fd = fd_derivative(values, grid.h)
-        return lambda block, t: fd[block]
-    if mode == "dre":
-        flow = _RicFlow(sys, cost, grid)
-        return lambda block, t: _ric_rhs(flow.table(t), values[block])
-    raise ValueError(f"unknown lambda_dot_mode {mode!r}")
-
-
 def assemble_M(lam, lam_dot, sys: StateSpace, quadform: QuadForm,
                t: float) -> SymMat:
     """Evaluate M(Lam) at one time from a value and a derivative sample."""
@@ -117,37 +103,30 @@ def assemble_M(lam, lam_dot, sys: StateSpace, quadform: QuadForm,
 
 
 def feasibility(lam: MatTrajectory, sys: StateSpace, quadform: QuadForm,
-                tol: float = 1e-9,
-                lambda_dot_mode: str = "fd") -> DlmiCertificate:
+                tol: float = 1e-9) -> DlmiCertificate:
     """Check M(Lam) >= -tol at every node plus the final-value condition
     Lam(T) = 0.
 
-    lambda_dot_mode "fd" differentiates the samples by centered differences
-    (endpoints one-sided, second order); "dre" substitutes the Riccati
-    right-hand side, exact when the trajectory is the backward extremal and
-    free of differentiation noise, which keeps the rank count honest.
+    dLam/dt is taken from the samples by centered differences (endpoints
+    one-sided, second order), so any trajectory can fail the check; tol
+    must cover the O(h^2) differencing error. Substituting the Riccati
+    right-hand side instead would make M = U U^T an identity for every
+    symmetric Lam (see extremal_factorization), a check that cannot fail.
     """
     grid = lam.grid
     if quadform.grid != grid:
         raise ValueError("trajectory and quadratic form use different grids")
-    n = sys.n
     values = lam.values
     if not np.isfinite(values).all():
         raise ValueError("feasibility needs a complete (non-escaped) trajectory")
 
-    # mode "dre" takes the Riccati right-hand side of the quadratic form's
-    # own blocks
-    qm = quadform.Qmat
-    lam_dot = _lambda_dot(values, sys, CostData(
-        qm[..., :n, :n], qm[..., :n, n:], qm[..., n:, n:]), grid,
-        lambda_dot_mode)
-
+    lam_dot = fd_derivative(values, grid.h)
     times = grid.times()
     min_eig = np.empty(grid.steps + 1)
     rank_trace = np.empty(grid.steps + 1, dtype=int)
     for block in node_blocks(grid.steps + 1):
         t = times[block]
-        m = _assemble_on(values[block], lam_dot(block, t), sys, quadform, t)
+        m = _assemble_on(values[block], lam_dot[block], sys, quadform, t)
         eigs = np.linalg.eigvalsh(m)
         min_eig[block] = eigs[:, 0]
         cut = tol * np.maximum(1.0, np.abs(eigs).max(axis=1))

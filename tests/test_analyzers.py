@@ -71,9 +71,7 @@ class TestSolveLqr:
         assert cert.optimal_value == pytest.approx(np.tanh(1.0), abs=1e-6)
         assert not cert.minus_infinity
         assert cert.duality_gap <= 1e-6
-        assert cert.alignment <= 1e-8
-        assert cert.dual_min_eig >= -1e-9
-        assert cert.rank_ok
+        assert cert.duality_gap == cert.primal_value - cert.optimal_value
         assert cert.descriptor_residual <= 1e-4
 
     def test_zero_start_zero_value(self):
@@ -125,7 +123,6 @@ class TestSolveStochLqr:
         assert cert.optimal_value == pytest.approx(np.log(np.cosh(1.0)),
                                                    abs=1e-6)
         assert cert.duality_gap <= 1e-5
-        assert cert.rank_ok
 
     def test_point_mass_reduces_to_deterministic(self):
         det = solve_lqr(lqr_spec(steps=512))
@@ -376,20 +373,13 @@ class TestToleranceRejected:
     """A tolerance that is not a positive number is an input error. NaN
     used to pass every `tol <= 0` check and then silently turn off the
     bisection (hinf_norm_bisection returned the unbisected bracket top),
-    the maximality test (dri_cloud) or the rank test (solve_lqr)."""
+    the maximality test (dri_cloud) or the dual-sign check (verify)."""
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_hinf_norm_bisection(self, tol):
         sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         with pytest.raises(ValueError, match="tol"):
             hinf_norm_bisection(sys, T=2.0, steps=64, tol=tol)
-
-    @pytest.mark.parametrize("tol", BAD_TOLS)
-    def test_analyze(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            solve_lqr(lqr_spec(steps=64), tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            analyze(lqr_spec(steps=64), tol=tol)
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_dri_cloud(self, tol):
@@ -501,8 +491,10 @@ class TestVerifySolution:
         assert report.passed
         assert all(c.ok for c in report.checks)
         names = {c.name for c in report.checks}
-        assert {"dual_feasible", "rank_minimal", "value_match",
-                "descriptor", "alignment", "weak_duality"} <= names
+        assert {"variant_match", "verdict_match", "value_match",
+                "primal_match", "gap_match", "gap_consistent", "descriptor",
+                "descriptor_match", "alignment", "weak_duality",
+                "lam_max_match"} == names
 
     def test_tampered_value_fails(self):
         spec = lqr_spec(steps=256)
@@ -533,6 +525,21 @@ class TestVerifySolution:
         assert report.passed
         names = {c.name for c in report.checks}
         assert "escape_confirmed" in names or "escape_time_match" in names
+
+    def test_relabelled_certificate_fails(self):
+        # the tag and the verdict policy come from the problem: a failed
+        # passivity test relabelled as a verdict-free infimum with verdict
+        # True used to verify
+        sys = StateSpace(A=[[1.0]], B=[[1.0]], C=[[-1.0]], D=[[0.2]])
+        ok, cert = passivity_test(sys, T=2.0, steps=128)
+        spec = ProblemSpec(sys=sys, grid=cert.grid, variant=PositiveReal())
+        assert not ok and verify_solution(spec, cert).passed
+        forged = dataclasses.replace(cert, variant="general_iqc",
+                                     verdict=True)
+        report = verify_solution(spec, forged)
+        assert not report.passed
+        assert {"variant_match", "verdict_match"} <= {
+            c.name for c in report.checks if not c.ok}
 
     def test_bounded_real_dual_sign_checked(self):
         sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])

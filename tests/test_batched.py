@@ -72,16 +72,14 @@ def ref_m(lam, lam_dot, a, b, qmat):
     return 0.5 * (out + out.T)
 
 
-def ref_feasibility(lam, sys, qf, tol, mode):
-    grid, n = lam.grid, sys.n
+def ref_feasibility(lam, sys, qf, tol):
+    grid = lam.grid
     fd = fd_derivative(lam.values, grid.h)
     min_eig, rank = [], []
     for k, t in enumerate(grid.times()):
         a, b = sys.ab_at(t, grid)
         qm = qf.at(t)
-        ld = fd[k] if mode == "fd" else ref_rhs(
-            lam.values[k], a, b, qm[:n, :n], qm[:n, n:], qm[n:, n:])
-        eigs = np.linalg.eigvalsh(ref_m(lam.values[k], ld, a, b, qm))
+        eigs = np.linalg.eigvalsh(ref_m(lam.values[k], fd[k], a, b, qm))
         min_eig.append(eigs[0])
         cut = tol * max(1.0, float(np.abs(eigs).max()))
         rank.append(int(np.count_nonzero(np.abs(eigs) > cut)))
@@ -156,14 +154,12 @@ def ref_descriptor(sig, sys, W=None):
     return worst
 
 
-def ref_alignment(sig, lam, sys, cost, qf, mode):
+def ref_alignment(sig, lam, sys, cost, qf):
     grid = lam.grid
-    fd = fd_derivative(lam.values, grid.h)
     vals = []
     for k, t in enumerate(grid.times()):
         a, b = sys.ab_at(t, grid)
-        ld = fd[k] if mode == "fd" else ref_rhs(lam.values[k], a, b,
-                                                *cost.at(t, grid))
+        ld = ref_rhs(lam.values[k], a, b, *cost.at(t, grid))
         vals.append(np.sum(ref_m(lam.values[k], ld, a, b, qf.at(t))
                            * sig.values[k]))
     return trapz(np.array(vals), grid.h)
@@ -298,12 +294,11 @@ class TestStagesMatchLoops:
         assert not escaped[0]
         assert_close(values[0], ref_sweep(prob.sys, prob.cost, prob.grid))
 
-    @pytest.mark.parametrize("mode", ["dre", "fd"])
+    # the derivative feasibility takes: centred differences
+    @pytest.mark.parametrize("mode", ["fd"])
     def test_feasibility(self, prob, mode):
-        cert = feasibility(prob.lam, prob.sys, prob.qf, tol=1e-9,
-                           lambda_dot_mode=mode)
-        min_eig, rank = ref_feasibility(prob.lam, prob.sys, prob.qf, 1e-9,
-                                        mode)
+        cert = feasibility(prob.lam, prob.sys, prob.qf, tol=1e-9)
+        min_eig, rank = ref_feasibility(prob.lam, prob.sys, prob.qf, 1e-9)
         assert_close(cert.min_eig, min_eig)
         np.testing.assert_array_equal(cert.rank_trace, rank)
 
@@ -362,12 +357,13 @@ class TestStagesMatchLoops:
         assert_close(descriptor_residual(sig, prob.sys, W=w),
                      ref_descriptor(sig, prob.sys, w))
 
-    @pytest.mark.parametrize("mode", ["dre", "fd"])
+    # the derivative alignment takes: the Riccati right-hand side
+    @pytest.mark.parametrize("mode", ["dre"])
     def test_alignment(self, prob, mode):
         got = alignment_residual(prob.stoch, prob.lam, prob.sys, prob.cost,
-                                 prob.qf, lambda_dot_mode=mode)
+                                 prob.qf)
         assert_close(got, ref_alignment(prob.stoch, prob.lam, prob.sys,
-                                        prob.cost, prob.qf, mode))
+                                        prob.cost, prob.qf))
 
     def test_dual_w_integral(self, prob):
         got = dual_objective(prob.lam, X_i=np.zeros_like(prob.X_i), W=prob.W)

@@ -124,13 +124,13 @@ class TestProblemParsing:
         del doc["horizon"]["steps"]
         spec, options = parse_problem(doc)
         assert spec.grid.steps == 512
-        assert options == {"tol": 1e-9, "seed": 0}
+        assert options == {"seed": 0}
 
     def test_document_options_read(self):
         doc = lqr_doc()
-        doc["options"] = {"tol": 1e-7, "seed": 3}
+        doc["options"] = {"seed": 3}
         _, options = parse_problem(doc)
-        assert options == {"tol": 1e-7, "seed": 3}
+        assert options == {"seed": 3}
 
     @pytest.mark.parametrize("where,key,value,field,said,base", BAD_DOCUMENTS,
                              ids=[k[1] for k in BAD_DOCUMENTS])
@@ -147,12 +147,19 @@ class TestProblemParsing:
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_non_positive_option_rejected(self, tmp_path, capsys, key,
                                           value):
+        # the certificate tolerance options.tol is retired: an old document
+        # that sets it, at any value, fails as the schema does instead of
+        # being ignored
         doc = iqc_doc(T=0.5)
         doc["options"] = {key: value}
         with pytest.raises(DocumentError, match=f"options.{key}"):
             parse_problem(doc)
-        rc, out, _ = run(capsys, ["iqc", write_doc(tmp_path, doc)])
+        rc, out, err = run(capsys, ["iqc", write_doc(tmp_path, doc)])
         assert rc == 1 and out == ""
+        assert "unknown key" in err
+        validator = jsonschema.Draft202012Validator(
+            load_schema("problem.schema.json"))
+        assert not validator.is_valid(doc)
 
     @pytest.mark.parametrize("seed", [1.5, -1, "3", True])
     def test_seed_must_be_a_nonnegative_integer(self, tmp_path, capsys,
@@ -240,6 +247,7 @@ class TestExitCodes:
         ["lqr", "p.json", "--bogus"],
         ["lqr", "p.json", "--steps", "abc"],
         ["dri-cloud", "p.json", "--tol", "1e-5"],
+        ["slqr", "p.json", "--tol", "1e-5"],
     ])
     def test_usage_error_is_input_error(self, tmp_path, capsys, argv):
         # argparse's own exit code 2 would read as "minus infinity"
@@ -260,13 +268,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_tol_flag_rejected(self, tmp_path, capsys, cmd,
                                             value):
-        # the flag gets the check options.tol gets: at or below zero no
-        # eigenvalue passes the rank test and no bracket ever closes
+        # hinf's --tol is the bracket width: at or below zero no bracket
+        # ever closes. lqr has no --tol (its certificate has no tolerance),
+        # so the flag is a usage error there
         doc = lqr_doc() if cmd == "lqr" else br_doc(steps=32)
         rc, out, err = run(capsys, [cmd, write_doc(tmp_path, doc),
                                     "--tol", value])
         assert rc == 1 and out == ""
-        assert "--tol" in err
+        assert ("unrecognized arguments: --tol" if cmd == "lqr"
+                else "--tol: must be positive") in err
 
     def test_lqr_success(self, tmp_path, capsys):
         rc, out, _ = run(capsys, ["lqr", write_doc(tmp_path, lqr_doc())])
@@ -346,23 +356,6 @@ class TestExitCodes:
         assert res["verdict"] is False
         assert res["minus_infinity"] is True
 
-    def test_passivity_tol_reaches_the_test(self, tmp_path, capsys,
-                                            monkeypatch):
-        import lqconic.cli as cli_mod
-        seen = []
-        real = cli_mod.passivity_test
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("tol"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli_mod, "passivity_test", spy)
-        doc = pr_doc(True, steps=64)
-        run(capsys, ["passivity", write_doc(tmp_path, doc), "--tol", "1e-5"])
-        doc["options"] = {"tol": 1e-6}
-        run(capsys, ["passivity", write_doc(tmp_path, doc, "opts.json")])
-        assert seen == [1e-5, 1e-6]
-
     def test_passivity_d_zero_is_input_error(self, tmp_path, capsys):
         doc = pr_doc(True)
         doc["system"]["D"] = [[0.0]]
@@ -383,8 +376,11 @@ class TestResultDocuments:
         assert res["grid"] == {"T": 1.0, "steps": 128}
         assert res["problem_sha256"] == problem_sha256(lqr_doc(steps=128))
         assert res["minus_infinity"] is False
-        assert res["rank_ok"] is True
         assert res["duality_gap"] < 1e-4
+        assert res["duality_gap"] == res["primal_value"] - res["optimal_value"]
+        # the dual slack's eigenvalue floor and rank, and the alignment of
+        # the certificate's own gain, are identities and are not reported
+        assert not {"alignment", "dual_min_eig", "rank_ok"} & set(res)
         assert res["timing_seconds"] > 0
         gain = res["gain"]
         assert gain["m"] == 1 and gain["n"] == 1
@@ -436,11 +432,8 @@ class TestResultDocuments:
         assert res["iterations"] > 0
 
     def test_hinf_width_defaults_to_the_bisection(self, tmp_path, capsys):
-        # options.tol is the certificate tolerance, not the bracket width:
         # without --tol the bisection's own width (1e-4) applies
-        doc = br_doc(steps=64)
-        doc["options"] = {"tol": 1e-9}
-        path = write_doc(tmp_path, doc)
+        path = write_doc(tmp_path, br_doc(steps=64))
         default = json.loads(run(capsys, ["hinf", path])[1])
         flagged = json.loads(run(capsys, ["hinf", path, "--tol", "1e-4"])[1])
         for key in ("gamma_star", "iterations", "bracket"):
@@ -572,8 +565,9 @@ class TestVerifyCommand:
         rc, out, _ = run(capsys, ["verify", ppath, rpath])
         assert rc == 0
         assert out.strip().endswith("PASS")
-        assert "ok   dual_feasible" in out
+        assert "ok   variant_match" in out
         assert "ok   value_match" in out
+        assert "ok   primal_match" in out
 
     def test_tampered_value_fails(self, tmp_path, capsys):
         ppath, rpath, _ = self._solve(tmp_path, capsys, lqr_doc(steps=128))
@@ -646,6 +640,41 @@ class TestVerifyCommand:
         assert rc == 1 and out == ""
         assert "result.grid" in err
 
+    @pytest.mark.parametrize("field,value,path", [
+        ("gain.m", 2, "result.gain"),
+        ("gain.n", 0, "result.gain"),
+        ("gain.nodes", [[0.5]] * 3, "result.gain"),
+        ("gain.nodes", "many", "result.gain.nodes"),
+        ("minus_infinity", "false", "result.minus_infinity"),
+        ("verdict", 1, "result.verdict"),
+        ("optimal_value", "0.76", "result.optimal_value"),
+        ("descriptor_residual", [0.0], "result.descriptor_residual"),
+    ], ids=["gain_m", "gain_n", "node_count", "nodes_text", "minus_infinity",
+            "verdict", "optimal_value", "descriptor_residual"])
+    def test_result_claims_checked(self, tmp_path, capsys, field, value,
+                                   path):
+        # each claim is checked for its type before verify reads it; a
+        # wrong m used to end in a reshape error naming no field, and the
+        # string "false" was read as True
+        ppath, rpath, _ = self._solve(tmp_path, capsys, lqr_doc(steps=128))
+        res = json.loads(Path(rpath).read_text())
+        *outer, key = field.split(".")
+        (res[outer[0]] if outer else res)[key] = value
+        Path(rpath).write_text(json.dumps(res))
+        rc, out, err = run(capsys, ["verify", ppath, rpath])
+        assert rc == 1 and out == ""
+        assert f"error: {path}:" in err
+
+    def test_non_finite_gain_rejected(self, tmp_path, capsys):
+        # JSON reads 1e999 as infinity
+        ppath, rpath, _ = self._solve(tmp_path, capsys, lqr_doc(steps=128))
+        res = json.loads(Path(rpath).read_text())
+        res["gain"]["nodes"][5] = [12345.5]
+        Path(rpath).write_text(json.dumps(res).replace("12345.5", "1e999"))
+        rc, out, err = run(capsys, ["verify", ppath, rpath])
+        assert rc == 1 and out == ""
+        assert "result.gain.nodes: non-finite" in err
+
     def test_result_missing_field(self, tmp_path, capsys):
         ppath, rpath, _ = self._solve(tmp_path, capsys, lqr_doc(steps=128))
         res = json.loads(Path(rpath).read_text())
@@ -682,6 +711,16 @@ def _zero_gains(res):
     res["gain"]["nodes"] = [[0.0] * len(v) for v in res["gain"]["nodes"]]
 
 
+def _relabel(res):
+    # another variant's tag with the verdict inverted: when verify took
+    # the verdict policy from the tag, a failed passivity test relabelled
+    # as an infimum (or a passed one as a regulator) verified
+    res["variant"] = "general_iqc" if res["variant"] != "general_iqc" \
+        else "lqr"
+    if "verdict" in res:
+        res["verdict"] = not res["verdict"]
+
+
 class TestVerifyMutations:
     """Each field verify reads, tampered past its threshold, fails the
     verification with exit 4, on every kind of result document."""
@@ -697,11 +736,17 @@ class TestVerifyMutations:
     FINITE = ("lqr", "stoch_lqr", "iqc_finite", "passive")
     ESCAPING = ("iqc_escaping", "not_passive")
     # field -> (tampering, the documents that carry the field): escaping
-    # documents have no value and no gain, finite ones no escape time, and
-    # only the passivity documents a verdict. A longer horizon changes
+    # documents have no value, no evidence and no gain, finite ones no
+    # escape time, and only the passivity documents a verdict (and, when
+    # passive, the dual's largest eigenvalue). A longer horizon changes
     # every claim but the passive document's (value 0, still passive)
     TAMPER = {
+        "variant": (_relabel, FINITE + ESCAPING),
         "optimal_value": (_bump("optimal_value"), FINITE),
+        "primal_value": (_bump("primal_value"), FINITE),
+        "duality_gap": (_bump("duality_gap"), FINITE),
+        "descriptor_residual": (_bump("descriptor_residual"), FINITE),
+        "lam_max_eig": (_bump("lam_max_eig"), ("passive",)),
         "escape_time": (_bump("escape_time"), ESCAPING),
         "gain_mid_node": (_bump_mid_gain, FINITE),
         "gain_zeroed": (_zero_gains, FINITE),
@@ -746,6 +791,20 @@ class TestVerifyMutations:
 
 
 class TestSchemaConformance:
+    def test_schema_keys_match_the_parser(self):
+        # the keys the problem schema allows in each object are exactly
+        # those parse_problem accepts, so a key dropped from one of them
+        # (as options.tol was) cannot linger in the other
+        schema = load_schema("problem.schema.json")
+        props = schema["properties"]
+        allowed = {"$": set(props)}
+        for name in ("system", "horizon", "options"):
+            allowed[name] = set(props[name]["properties"])
+        assert allowed == {k: set(v) for k, v in cli._OBJECT_KEYS.items()}
+        variants = {v["properties"]["type"]["const"]: set(v["properties"])
+                    for v in props["variant"]["oneOf"]}
+        assert variants == {k: set(v) for k, v in cli._VARIANT_KEYS.items()}
+
     def test_problem_documents_validate(self):
         schema = load_schema("problem.schema.json")
         validator = jsonschema.Draft202012Validator(schema)

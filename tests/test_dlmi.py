@@ -8,6 +8,7 @@ floor zero, and rank one.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lqconic import (
     CostData,
@@ -28,9 +29,19 @@ from lqconic import (
     lure_residuals,
     solve_dre_final,
 )
+from lqconic.model import QuadForm, _stack_cost_blocks
+from lqconic.riccati import _ric_data, _ric_rhs
 
 SYS = StateSpace(A=[[0.0]], B=[[1.0]])
 COST = CostData(Q=[[1.0]], N=None, R=[[1.0]])
+
+
+def riccati_m(lam, sys, cost, qf, t=0.0):
+    """M(Lam) with dLam/dt replaced by the Riccati right-hand side, the
+    substitution the certificate's feasibility check used to make."""
+    lam = np.asarray(lam, dtype=float)
+    rhs = _ric_rhs(_ric_data(sys.A, sys.B, cost.Q, cost.N, cost.R), lam)
+    return np.asarray(assemble_M(lam, rhs, sys, qf, t))
 
 
 def scalar_setup(steps=512, T=1.0):
@@ -98,28 +109,32 @@ class TestAssembleM:
 
 class TestFeasibility:
     def test_extremal_feasible_dre_mode(self):
+        # with the Riccati right-hand side as the derivative, M along the
+        # extremal is PSD with the minimal rank one at every node
         grid, qf = scalar_setup()
         dre = solve_dre_final(SYS, COST, [[0.0]], grid)
-        cert = feasibility(dre.lam, SYS, qf, tol=1e-9, lambda_dot_mode="dre")
-        assert cert.feasible and cert.psd_ok and cert.boundary_ok
-        assert cert.min_eig.min() >= -1e-12
-        assert set(cert.rank_trace.tolist()) == {1}
+        for t, lam in zip(grid.times(), dre.lam.values):
+            m = riccati_m(lam, SYS, COST, qf, t)
+            assert np.linalg.eigvalsh(m)[0] >= -1e-12
+            assert eps_rank(m, tol=1e-9) == 1
 
     def test_extremal_feasible_fd_mode(self):
         # finite differencing injects O(h^2) noise; the tolerance covers it
         grid, qf = scalar_setup()
         dre = solve_dre_final(SYS, COST, [[0.0]], grid)
-        cert = feasibility(dre.lam, SYS, qf, tol=1e-5, lambda_dot_mode="fd")
+        cert = feasibility(dre.lam, SYS, qf, tol=1e-5)
         assert cert.feasible
         assert cert.min_eig.min() >= -1e-5
 
     def test_modes_agree_within_fd_noise(self):
+        # feasibility differentiates the samples; along the extremal that
+        # differs from the Riccati derivative by the differencing error
         grid, qf = scalar_setup()
         dre = solve_dre_final(SYS, COST, [[0.0]], grid)
-        a = feasibility(dre.lam, SYS, qf, tol=1e-5, lambda_dot_mode="fd")
-        b = feasibility(dre.lam, SYS, qf, tol=1e-5, lambda_dot_mode="dre")
-        # the gap is exactly the second-order differencing error
-        assert np.max(np.abs(a.min_eig - b.min_eig)) <= 10.0 * grid.h ** 2
+        fd = feasibility(dre.lam, SYS, qf, tol=1e-5).min_eig
+        exact = [np.linalg.eigvalsh(riccati_m(lam, SYS, COST, qf, t))[0]
+                 for t, lam in zip(grid.times(), dre.lam.values)]
+        assert np.max(np.abs(fd - exact)) <= 10.0 * grid.h ** 2
 
     def test_upward_shift_infeasible(self):
         grid, qf = scalar_setup()
@@ -156,6 +171,49 @@ class TestFeasibility:
         assert sol.escaped
         with pytest.raises(ValueError):
             feasibility(sol.lam, SYS, qf)
+
+
+class TestRiccatiDerivativeIsAnIdentity:
+    """Why the certificate no longer reports the dual slack's eigenvalue
+    floor and rank: with dLam/dt replaced by the Riccati right-hand side,
+    M(Lam) = U U^T (U of width m) holds for every symmetric Lam, extremal
+    or not, so that floor and rank could not fail. Differentiating the
+    samples, as feasibility does, tells the extremal from a trajectory
+    that solves nothing."""
+
+    RNG = np.random.default_rng(31)
+    A = RNG.standard_normal((2, 2))
+    B = RNG.standard_normal((2, 1))
+    Q = RNG.standard_normal((2, 2))
+    N = RNG.standard_normal((2, 1))
+    SYS2 = StateSpace(A=A, B=B)
+    COST2 = CostData(Q=0.5 * (Q + Q.T), N=N, R=[[1.5]])
+    QF2 = QuadForm(nq=3, grid=TimeGrid(T=1.0, steps=4),
+                   Qmat=_stack_cost_blocks(COST2.Q, COST2.N, COST2.R))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    def test_any_symmetric_lam_factors(self, entries):
+        lam = np.array([[entries[0], entries[1]], [entries[1], entries[2]]])
+        m = riccati_m(lam, self.SYS2, self.COST2, self.QF2)
+        u = extremal_factorization(lam, self.SYS2, self.COST2, 0.0).U
+        assert u.shape == (3, 1)
+        scale = 1.0 + float(np.max(np.abs(m)))
+        assert np.max(np.abs(m - u @ u.T)) <= 1e-12 * scale
+
+    def test_centred_differences_reject_a_scaled_extremal(self):
+        grid, qf = scalar_setup()
+        dre = solve_dre_final(SYS, COST, [[0.0]], grid)
+        scaled = MatTrajectory(grid, 1.5 * dre.lam.values)
+        # the substituted derivative passes both, scaled or not
+        for values in (dre.lam.values, scaled.values):
+            assert min(np.linalg.eigvalsh(riccati_m(lam, SYS, COST, qf))[0]
+                       for lam in values) >= -1e-12
+        # 1e-5 covers the O(h^2) differencing noise on the extremal
+        assert feasibility(dre.lam, SYS, qf, tol=1e-5).feasible
+        cert = feasibility(scaled, SYS, qf, tol=1e-5)
+        assert cert.boundary_ok and not cert.psd_ok
+        assert cert.min_eig.min() < -0.1
 
 
 class TestExtremalFactorization:
