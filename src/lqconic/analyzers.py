@@ -20,6 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ._num import node_blocks
 from .covariance import (Gain, alignment_residual, closed_loop_simulate,
                          deterministic_covariance, descriptor_residual,
                          gain_from_dual, primal_objective,
@@ -31,8 +32,7 @@ from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     coeff_on, effective_cost, validate)
 from .riccati import (DreSolution, DriSample, MatTrajectory, _dre_solution,
                       _RicFlow, _step_intervals, _sweep, draw_forcing,
-                      forcing_amplitude, loewner_compare, solve_dre_final,
-                      switch_bounds)
+                      forcing_amplitude, solve_dre_final, switch_bounds)
 
 __all__ = [
     "Certificate",
@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 512
+# (sample, node) pairs per batched eigvalsh of the cloud's Loewner comparison
+COMPARE_BLOCK = 512
 
 
 class EscapeUnexpected(RuntimeError):
@@ -341,6 +343,26 @@ def scalar_preset(q_sign: int, m_sign: int, T: float = 2.0,
     return ProblemSpec(sys=sys, grid=TimeGrid(T=T, steps=steps), variant=variant)
 
 
+def _worst_margin(values: np.ndarray) -> Optional[float]:
+    """Smallest eigenvalue of values[0] - values[i] over every sample i >= 1
+    and every node where both are valid (None if there is none): the
+    loewner_compare margin of the first trajectory over each of the others,
+    minimized. One eigvalsh takes a node block of at most COMPARE_BLOCK
+    (sample, node) pairs, which bounds the temporaries."""
+    size = max(1, COMPARE_BLOCK // max(1, values.shape[0] - 1))
+    worst = None
+    for block in node_blocks(values.shape[1], size):
+        v = values[:, block]
+        valid = np.isfinite(v).all(axis=(2, 3))
+        shared = valid[1:] & valid[0]
+        if shared.any():
+            diff = (v[0] - v[1:])[shared]
+            diff = 0.5 * (diff + diff.transpose(0, 2, 1))
+            low = float(np.linalg.eigvalsh(diff)[:, 0].min())
+            worst = low if worst is None else min(worst, low)
+    return worst
+
+
 def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
               switch_points: int = 10, seed: int = 0,
               tol: float = 1e-7) -> DriCloudReport:
@@ -382,21 +404,15 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
 
     samples: List[DriSample] = []
     node_interval = np.append(step_to_interval, step_to_interval[-1])
-    margins = []
     for i in range(n_samples):
-        lam_traj = MatTrajectory(grid, values[i + 1])
-        forcing_traj = MatTrajectory(grid, hvals[i + 1][node_interval])
         esc = bool(escaped[i + 1])
         samples.append(DriSample(
-            lam=lam_traj,
-            forcing=forcing_traj,
+            lam=MatTrajectory(grid, values[i + 1]),
+            forcing=MatTrajectory(grid, hvals[i + 1][node_interval]),
             escaped=esc,
             escape_time=float(escape_time[i + 1]) if esc else None,
         ))
-        order = loewner_compare(dre.lam, lam_traj, tol)
-        if order.shared_nodes:
-            margins.append(order.margin_ab)
-    worst = min(margins) if margins else None
+    worst = _worst_margin(values)
     maximal = worst is None or worst >= -tol
 
     return DriCloudReport(

@@ -275,5 +275,7 @@ def monte_carlo_cost(sys: StateSpace, gain: Gain, cost: CostData, W, X_i,
 
     costs = trapz(integrand, h)
     mean = float(np.mean(costs))
-    stderr = float(np.std(costs, ddof=1) / np.sqrt(n_paths))
+    # the spread about the first path: the std does not change under a
+    # shift, and identical paths give exactly 0 (np.mean can round them)
+    stderr = float(np.std(costs - costs[0], ddof=1) / np.sqrt(n_paths))
     return mean, stderr

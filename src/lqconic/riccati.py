@@ -8,19 +8,28 @@ on a uniform grid. H=0 gives the Riccati equation whose final-value
 solution is the maximal solution of the matching differential matrix
 inequality; H is a positive semidefinite forcing used to sample the
 inequality's other solutions. By Radon's lemma the flow is the Moebius
-image Lam = Y X^{-1} of a linear (Hamiltonian) flow of [X; Y], so each
-backward step applies the RK4 map M of that flow (built batched by
-`_num.rk4_map`) as Lam <- (M21 + M22 Lam)(M11 + M12 Lam)^{-1}. Solutions
-may escape in finite time: escape is an outcome, not an error, and it is
-where the denominator X = M11 + M12 Lam turns singular. It is detected on
-the step where X does, and its time refined by bisecting the partial step
-with the same test; no norm cap and no step-size dependence beyond the
-RK4 error are involved.
+image Lam = Y X^{-1} of a linear (Hamiltonian) flow of [X; Y]; each
+backward step has the RK4 map M of that flow (built batched by
+`_num.rk4_map`). Because the flow is linear, a run of steps needs no visit
+per node: the sweep takes SCAN_STEPS steps per block, and within a block
+that starts from Lam_0 the prefix products P_j = M_j ... M_1 (a
+Hillis-Steele scan, or for constant unforced data the powers of the one
+map, built once per sweep) give [X_j; Y_j] = P_j [I; Lam_0] and
+Lam_j = Y_j X_j^{-1} in one batched solve. The products grow with the time
+a block spans, which is why the blocks stay short.
+
+Solutions may escape in finite time: escape is an outcome, not an error,
+and it is where a step's denominator D_j = X_j X_{j-1}^{-1} =
+M11 + M12 Lam_{j-1} turns singular. The denominators of a whole block are
+tested in one call; the first failing step ends the sample's sweep, and
+its time is refined by bisecting the partial step with the same test. No
+norm cap and no step-size dependence beyond the RK4 error are involved.
 
 A sweep integrates a batch of samples; one that escapes leaves the batch,
 and after the sweep the escapes of all samples are refined together in
-one vectorized bisection. Each sample's values and escape time are those
-of a sweep of that sample alone.
+one vectorized bisection. The block layout depends only on the grid, and
+samples run in fixed chunks, so each sample's values and escape time are
+those of a sweep of that sample alone.
 
 Node-sampled coefficients are tabulated at the RK4 stage times one block of
 NODE_BLOCK steps at a time, not interpolated and inverted at every stage;
@@ -52,6 +61,15 @@ __all__ = [
     "loewner_compare",
     "forcing_amplitude",
 ]
+
+# Steps per block of the Riccati sweep. A block applies prefix products of
+# its step maps, whose norm grows with the time the block spans, so the
+# blocks stay short (see the growth guard in tests/test_batched.py). A
+# divisor of NODE_BLOCK, the steps whose maps sampled data builds at once.
+SCAN_STEPS = 64
+# Samples per chunk of a block, which bounds its (chunk, SCAN_STEPS, 2n, 2n)
+# temporaries however many samples a sweep carries.
+SAMPLE_CHUNK = 16
 
 
 class MatTrajectory:
@@ -188,12 +206,15 @@ def _step_maps(flow: _RicFlow, t, dt, forcing=0.0) -> np.ndarray:
 
 
 def _past_singular(d: np.ndarray) -> np.ndarray:
-    """Whether each step denominator X = M11 + M12 Lam (S, n, n) passed a
-    singular matrix on its way from I: det X <= 0 or non-finite, or a real
-    eigenvalue <= 0 (a pair crossing zero keeps det X > 0), computed only
-    where ||X - I||_F >= 0.9: nearer I all lie within 0.9 of 1, a margin
-    that no rounding of the norm or of the eigenvalues can cross (at
-    ||X - I||_F = 1 an eigenvalue can round to 0)."""
+    """Whether each step denominator D (..., n, n) passed a singular matrix
+    on its way from I: det D <= 0 or non-finite, or a real eigenvalue <= 0
+    (a pair crossing zero keeps det D > 0), computed only where
+    ||D - I||_F >= 0.9: nearer I all lie within 0.9 of 1, a margin that no
+    rounding of the norm or of the eigenvalues can cross (at ||D - I||_F = 1
+    an eigenvalue can round to 0). A blocked sweep tests all the steps of
+    a block in one call; values past a failed step may be non-finite."""
+    shape = d.shape[:-2]
+    d = d.reshape((-1,) + d.shape[-2:])
     det = np.linalg.det(d)
     out = ~((det > 0.0) & (det < np.inf))
     off = d - np.eye(d.shape[-1])
@@ -201,7 +222,7 @@ def _past_singular(d: np.ndarray) -> np.ndarray:
     if far.any():
         ev = np.linalg.eigvals(d[far])
         out[far] = ((ev.imag == 0.0) & (ev.real <= 0.0)).any(axis=1)
-    return out
+    return out.reshape(shape)
 
 
 def _refine_escape(flow, t_good, y_good, h, forcing):
@@ -228,19 +249,65 @@ def _refine_escape(flow, t_good, y_good, h, forcing):
         lo = np.where(split & ~over, mid, lo)
 
 
+def _prefix_products(m: np.ndarray) -> np.ndarray:
+    """Prefix products P_j = M_j ... M_1 of step maps stacked along axis -3,
+    by a Hillis-Steele scan (log2 of the count of batched matmuls). P_j
+    depends only on M_1 .. M_j, so the leading products of a longer run
+    equal those of a shorter one bitwise."""
+    p = np.array(m)
+    span = 1
+    while span < p.shape[-3]:
+        p[..., span:, :, :] = np.matmul(p[..., span:, :, :],
+                                        p[..., :-span, :, :])
+        span *= 2
+    return p
+
+
+def _scan_block(m, p, y):
+    """Carry samples y (C, n, n) across one block of steps with maps m and
+    their prefix products p (each (b, 2n, 2n), or (C, b, 2n, 2n) per
+    sample): [X_j; Y_j] = P_j [I; y] and Lam_j = sym(Y_j X_j^{-1}), and the
+    step denominators D_j = X_j X_{j-1}^{-1} = M11 + M12 Lam_{j-1}, tested in
+    one call. A step whose Lam_j is not finite (X_j exactly singular or
+    overflowed) counts as failed. Returns (Lam (C, b, n, n), good (C, b)):
+    good marks the steps before each sample's first failed one."""
+    n = y.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = p[..., :n] + np.matmul(p[..., n:], y[:, None])
+        # Lam_j^T solves X_j^T Lam_j^T = Y_j^T
+        xt, yt = z[..., :n, :].swapaxes(-1, -2), z[..., n:, :].swapaxes(-1, -2)
+        try:
+            lam = np.linalg.solve(xt, yt)
+        except np.linalg.LinAlgError:  # a zero pivot: solve around it
+            singular = np.linalg.slogdet(xt)[0] == 0.0
+            lam = np.linalg.solve(
+                np.where(singular[..., None, None], np.eye(n), xt), yt)
+            lam[singular] = np.nan
+        lam = 0.5 * (lam + lam.swapaxes(-1, -2))
+        prev = np.concatenate([y[:, None], lam[:, :-1]], axis=1)
+        d = m[..., :n, :n] + np.matmul(m[..., :n, n:], prev)
+        failed = _past_singular(d) | ~np.isfinite(lam).all(axis=(-2, -1))
+    return lam, np.cumsum(failed, axis=1) == 0
+
+
 def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, forcing=None):
     """Integrate a batch of Riccati flows backward across the grid from
     their final values lam0 (S, n, n).
 
     forcing: None, or (values (S, P, n, n), interval (K,)): each sample's
     forcing on P intervals and the interval of each step (entry k for the
-    step between nodes k and k+1). The step maps are built batched: one for constant
-    unforced data, one per sample and interval for constant forced data,
-    and for sampled data one per step (and sample, if forced), at most
-    NODE_BLOCK maps at a time. A sample whose denominator turns singular
-    leaves the batch with its last good state, and the sweep ends when none
-    is left. The escape times of all escaped samples are refined together
-    after the sweep.
+    step between nodes k and k+1). The steps run in blocks of SCAN_STEPS,
+    laid out by the grid alone. Within a block, each sample starts from its
+    value Lam_0 at the block's first node and takes every step at once:
+    prefix products P_j of the block's step maps give [X_j; Y_j] =
+    P_j [I; Lam_0] and Lam_j = Y_j X_j^{-1} (`_scan_block`). The maps are one
+    for constant unforced data, whose powers are built once per sweep and
+    serve every block; one per sample and interval for constant forced
+    data; one per step (and sample, if forced) for sampled data. Samples
+    run in chunks of SAMPLE_CHUNK, which bounds the temporaries. A sample
+    whose step denominator turns singular leaves the batch with its last
+    good node, and the sweep ends when none is left. The escape times of
+    all escaped samples are refined together after the sweep.
 
     Returns (values (S, K+1, n, n) with NaN beyond escape, escaped (S,),
     escape_time (S,)).
@@ -257,34 +324,40 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, forcing=None):
     hvals, interval = forcing if forced else (0.0, None)
     if flow.const:
         maps = _step_maps(flow, times[-1], -h, hvals)
-    span = max(1, NODE_BLOCK // s) if forced and not flow.const else \
-        NODE_BLOCK
+        if not forced:
+            powers = _prefix_products(np.repeat(
+                maps[None], min(SCAN_STEPS, k_steps), axis=0))
 
     y = 0.5 * (lam0 + lam0.transpose(0, 2, 1))
     values[:, k_steps] = y
     live = np.arange(s)
-    for block in node_blocks(k_steps, span):
+    for block in node_blocks(k_steps, SCAN_STEPS):
         ks = step_order[block]
-        if not flow.const:
-            maps = _step_maps(flow, times[ks], -h,
-                              hvals[:, interval[ks - 1]] if forced else 0.0)
-        for j, k in enumerate(ks.tolist()):
+        if not forced and flow.const:
+            m, p = maps, powers[:ks.size]
+        elif not forced:
+            # maps are built NODE_BLOCK steps at a time (a whole number of
+            # blocks), which amortizes tabulating the coefficients
+            if block.start % NODE_BLOCK == 0:
+                maps = _step_maps(flow, times[step_order[
+                    block.start:block.start + NODE_BLOCK]], -h)
+            m = maps[block.start % NODE_BLOCK:][:ks.size]
+            p = _prefix_products(m)
+        for chunk in node_blocks(live.size, SAMPLE_CHUNK):
+            idx = live[chunk]
             if forced:
-                m = maps[live, interval[k - 1] if flow.const else j]
-            else:
-                m = maps if flow.const else maps[j]
-            z = m[..., :n] + np.matmul(m[..., n:], y)
-            d, num = z[:, :n], z[:, n:]
-            over = _past_singular(d)
-            if over.any():
-                last_good[live[over]] = k
-                keep = ~over
-                live, d, num = live[keep], d[keep], num[keep]
-                if live.size == 0:
-                    break
-            y = np.linalg.solve(d.swapaxes(-1, -2), num.swapaxes(-1, -2))
-            y = 0.5 * (y + y.swapaxes(-1, -2))
-            values[live, k - 1] = y
+                pick = (idx[:, None], interval[ks - 1])
+                m = maps[pick] if flow.const else \
+                    _step_maps(flow, times[ks], -h, hvals[pick])
+                p = _prefix_products(m)
+            lam, good = _scan_block(m, p, y[idx])
+            values[idx[:, None], ks - 1] = np.where(good[..., None, None],
+                                                    lam, np.nan)
+            taken = good.sum(axis=1)
+            over = taken < ks.size
+            last_good[idx[over]] = ks[taken[over]]
+            y[idx[~over]] = lam[~over, -1]
+        live = live[last_good[live] < 0]
         if live.size == 0:
             break
 

@@ -37,7 +37,7 @@ from lqconic import (
 )
 
 from lqconic import riccati
-from lqconic.analyzers import analyze
+from lqconic.analyzers import _worst_margin, analyze
 from oracles import convolution_norm, passivity_form_min_eig, zoh_qp_value
 
 SYS = StateSpace(A=[[0.0]], B=[[1.0]])
@@ -438,6 +438,27 @@ class TestDriCloud:
         assert report.dre.escaped
         assert report.maximal
         assert report.worst_margin >= -1e-7
+
+    def test_worst_margin_is_the_least_pairwise_margin(self):
+        # the cloud's batched comparison gives bitwise the least
+        # loewner_compare margin of the first trajectory over the others;
+        # 40 trajectories of 301 nodes take several node blocks, and they
+        # are invalid on different windows (one throughout, one where the
+        # first is)
+        rng = np.random.default_rng(3)
+        grid = TimeGrid(T=1.0, steps=300)
+        values = rng.standard_normal((40, 301, 3, 3))
+        for i in range(1, 40):
+            values[i, :rng.integers(0, 301)] = np.nan
+        values[7] = np.nan
+        values[0, 150:160] = np.nan
+        first = riccati.MatTrajectory(grid, values[0])
+        margins = [riccati.loewner_compare(
+            first, riccati.MatTrajectory(grid, v)) for v in values[1:]]
+        assert _worst_margin(values) == min(
+            c.margin_ab for c in margins if c.shared_nodes)
+        values[0] = np.nan
+        assert _worst_margin(values) is None
 
     def test_seed_reproducibility(self):
         a = dri_cloud(scalar_preset(1, 1, steps=128), n_samples=5, seed=7)

@@ -11,13 +11,17 @@ Grids have 2 * NODE_BLOCK + 3 steps, so a partial tail block is covered,
 and the coefficients are constant, node-sampled, or sampled on a grid and
 evaluated on its 2x refinement (as verify_solution does).
 
-The Riccati sweep applies batched RK4 maps of the Hamiltonian flow as
-Moebius updates; its reference builds each step's map from coefficients
-read by coeff_at and applies it one node at a time. The sweep refines the
-escapes of all its samples in one vectorized bisection after the sweep;
-the reference bisects one sample at a time from its last good state, on
-the unscreened denominator test, and must give the same escape times
-bitwise.
+The Riccati sweep takes blocks of SCAN_STEPS steps: prefix products of
+the block's RK4 maps of the Hamiltonian flow carry [I; Lam] across the
+block, and one batched solve gives every node's Moebius image. Its
+reference builds each step's map from coefficients read by coeff_at and
+applies it as a Moebius update one node at a time. The two agree to
+rounding across block edges, with escapes at either end of a block and in
+the partial tail block, and over blocks whose products grow. The sweep
+refines the escapes of all its samples in one vectorized bisection after
+the sweep; the reference bisects one sample at a time from its last good
+state, on the unscreened denominator test, and must give the same escape
+times bitwise.
 """
 import numpy as np
 import pytest
@@ -34,10 +38,11 @@ from lqconic.model import (CostData, ProblemSpec, StateSpace, StochLQR,
                            TimeGrid, apply_Aop, assemble_quadform, coeff_at,
                            coeff_on)
 from lqconic._num import propagate, rk4_map
-from lqconic.riccati import (_operator_blocks, _residual_sweep, _RicFlow,
-                             _step_intervals, _step_maps, _sweep,
-                             draw_forcing, solve_dre_final,
-                             solve_lyapunov_final, switch_bounds)
+from lqconic.riccati import (SAMPLE_CHUNK, SCAN_STEPS, _operator_blocks,
+                             _residual_sweep, _RicFlow, _step_intervals,
+                             _step_maps, _sweep, draw_forcing,
+                             solve_dre_final, solve_lyapunov_final,
+                             switch_bounds)
 
 STEPS = 2 * NODE_BLOCK + 3
 RTOL = 1e-12
@@ -171,36 +176,45 @@ def ref_dual_w(lam, W):
                            for k, t in enumerate(grid.times())]), grid.h)
 
 
-def ref_hamiltonian(t, sys, cost, grid):
-    """The linear flow d/dt [X; Y] = F [X; Y] with Lam = Y X^{-1}."""
+def ref_hamiltonian(t, sys, cost, grid, forcing=0.0):
+    """The linear flow d/dt [X; Y] = F [X; Y] with Lam = Y X^{-1}, under a
+    forcing matrix H."""
     a, b = sys.ab_at(t, grid)
     q, nmat, r = cost.at(t, grid)
     ri = np.linalg.inv(r)
     return np.block([
         [a - b @ ri @ nmat.T, -b @ ri @ b.T],
-        [nmat @ ri @ nmat.T - 0.5 * (q + q.T), nmat @ ri @ b.T - a.T]])
+        [nmat @ ri @ nmat.T - 0.5 * (q + q.T) + forcing,
+         nmat @ ri @ b.T - a.T]])
 
 
-def ref_sweep(sys, cost, grid):
-    """Backward Riccati sweep from a zero final value: per step the RK4
-    map of the Hamiltonian flow, coefficients read by coeff_at at every
-    stage, applied to Lam as a Moebius update."""
+def ref_sweep(sys, cost, grid, lam0=None, forcing=0.0):
+    """Backward Riccati sweep from lam0 (zero by default) under a constant
+    forcing matrix: per step the RK4 map of the Hamiltonian flow,
+    coefficients read by coeff_at at every stage, applied to Lam as a
+    Moebius update. From the first step whose denominator M11 + M12 Lam has
+    a nonpositive determinant or real eigenvalue (an escape) on, the nodes
+    hold NaN."""
     n = sys.n
     eye = np.eye(2 * n)
     times = grid.times()
-    out = np.empty((grid.steps + 1, n, n))
-    out[-1] = 0.0
+    out = np.full((grid.steps + 1, n, n), np.nan)
+    out[-1] = 0.0 if lam0 is None else lam0
     for k in range(grid.steps, 0, -1):
         t, lam, dt = times[k], out[k], -grid.h
-        f1, f2, f4 = (ref_hamiltonian(s, sys, cost, grid)
+        f1, f2, f4 = (ref_hamiltonian(s, sys, cost, grid, forcing)
                       for s in (t, t + 0.5 * dt, t + dt))
         k1 = f1
         k2 = f2 @ (eye + (0.5 * dt) * k1)
         k3 = f2 @ (eye + (0.5 * dt) * k2)
         k4 = f4 @ (eye + dt * k3)
         m = eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nxt = (m[n:, :n] + m[n:, n:] @ lam) @ np.linalg.inv(
-            m[:n, :n] + m[:n, n:] @ lam)
+        d = m[:n, :n] + m[:n, n:] @ lam
+        ev = np.linalg.eigvals(d)
+        if not np.linalg.det(d) > 0 or \
+                ((ev.imag == 0) & (ev.real <= 0)).any():
+            break
+        nxt = (m[n:, :n] + m[n:, n:] @ lam) @ np.linalg.inv(d)
         out[k - 1] = 0.5 * (nxt + nxt.T)
     return out
 
@@ -481,6 +495,110 @@ class TestRk4Map:
 
 
 # ---------------------------------------------------------------------------
+# the blocked sweep: block edges and the growth of the prefix products
+
+class TestBlockEdges:
+    """Escapes on the first, a middle and the last step of a block, and in
+    the partial tail block, against the per-step reference.
+
+    A = 0, B = 1, R = 1 and Q = H - 1 under a forcing H: backward from
+    -tan(phi) the flow is Lam = -tan(phi + s) at s = T - t, which escapes at
+    s = pi/2 - phi. Each sample's phi puts its escape in the middle of a
+    chosen step, counted backward from T; the batch spans more than one
+    chunk of samples."""
+
+    STEPS = 2 * SCAN_STEPS + 22  # two full blocks and a partial tail
+    # the step each sample escapes on (0: never); SCAN_STEPS + 1 is the
+    # first step of the second block, 2 * SCAN_STEPS + 1 that of the tail
+    ESCAPE_STEP = (1, 2, SCAN_STEPS // 2, SCAN_STEPS - 1, SCAN_STEPS,
+                   SCAN_STEPS + 1, SCAN_STEPS + 2, 3 * SCAN_STEPS // 2,
+                   2 * SCAN_STEPS - 1, 2 * SCAN_STEPS, 2 * SCAN_STEPS + 1,
+                   2 * SCAN_STEPS + 2, 2 * SCAN_STEPS + 12, STEPS - 1, STEPS,
+                   0, 0)
+
+    @pytest.mark.parametrize("kind", ["constant", "sampled"])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_escape_steps_and_values_match_reference(self, kind, forced):
+        grid = TimeGrid(T=1.5, steps=self.STEPS)
+        amp = 0.5 if forced else 0.0
+
+        def coeff(v):
+            return np.full((self.STEPS + 1, 1, 1), v) if kind == "sampled" \
+                else [[v]]
+
+        sys = StateSpace(A=coeff(0.0), B=coeff(1.0))
+        cost = CostData(Q=coeff(amp - 1.0), N=None, R=coeff(1.0))
+        phi = np.array([np.pi / 2 - (e - 0.5) * grid.h if e else 0.0
+                        for e in self.ESCAPE_STEP])
+        lam0 = -np.tan(phi)[:, None, None]
+        assert lam0.shape[0] > SAMPLE_CHUNK
+        flow = _RicFlow(sys, cost, grid)
+        forcing = (np.full((lam0.shape[0], 1, 1, 1), amp),
+                   np.zeros(self.STEPS, dtype=int)) if forced else None
+        values, escaped, _ = _sweep(flow, lam0, grid, forcing)
+        for i, e in enumerate(self.ESCAPE_STEP):
+            want = ref_sweep(sys, cost, grid, lam0[i], amp * np.eye(1))
+            valid = np.isfinite(want).all(axis=(1, 2))
+            # an escape on step e leaves the e nodes after it valid
+            assert valid.sum() == (e or self.STEPS + 1)
+            np.testing.assert_array_equal(
+                np.isfinite(values[i]).all(axis=(1, 2)), valid)
+            assert escaped[i] == bool(e)
+            assert_close(values[i][valid], want[valid])
+            # and the sample alone gives the same sweep
+            alone = _sweep(flow, lam0[i:i + 1], grid, None if forcing is None
+                           else (forcing[0][i:i + 1], forcing[1]))[0]
+            assert np.array_equal(values[i], alone[0], equal_nan=True)
+
+    def test_exactly_singular_denominator(self):
+        # A = Q = 0, B = R = 1: the maps are [[1, h], [0, 1]] exactly, and
+        # from Lam = -16 with h = 1/64 the block's X_4 = 1 - 4 h 16 is
+        # exactly 0; the escape is reported on step 4, not raised
+        sys = StateSpace(A=[[0.0]], B=[[1.0]])
+        cost = CostData(Q=[[0.0]], N=None, R=[[1.0]])
+        grid = TimeGrid(T=1.0, steps=64)
+        values, escaped, _ = _sweep(_RicFlow(sys, cost, grid),
+                                    np.full((1, 1, 1), -16.0), grid)
+        assert escaped[0]
+        np.testing.assert_array_equal(
+            np.isfinite(values[0, :, 0, 0]), np.arange(65) > 60)
+
+
+def growth_problem(kind):
+    """A stable regulator: constant over T = 60 with 1024 steps (a block of
+    SCAN_STEPS spans 3.75 time units), or node-sampled over T = 20 with 512
+    steps."""
+    rng = np.random.default_rng(5)
+    n, m = 3, 2
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    a -= (np.abs(np.linalg.eigvals(a)).max() + 0.5) * np.eye(n)
+    b = rng.uniform(-1.0, 1.0, (n, m))
+    g = rng.uniform(-1.0, 1.0, (n, n))
+    p = rng.uniform(-1.0, 1.0, (m, m))
+    cost = CostData(Q=g @ g.T + 0.1 * np.eye(n), N=None,
+                    R=p @ p.T + 0.5 * np.eye(m))
+    if kind == "constant":
+        return StateSpace(A=a, B=b), cost, TimeGrid(T=60.0, steps=1024)
+    wave = 1.0 + 0.3 * np.sin(7.0 * np.linspace(0.0, 1.0, 513))[:, None, None]
+    return StateSpace(A=a * wave, B=b * wave), cost, \
+        TimeGrid(T=20.0, steps=512)
+
+
+@pytest.mark.parametrize("kind", ["constant", "sampled"])
+def test_block_growth_guard(kind):
+    # the prefix products of a block grow with the time it spans (here to
+    # ||P|| ~ 1e5), and so does the rounding of Lam = Y X^{-1}; blocks of
+    # SCAN_STEPS stay at the per-step reference's accuracy, where blocks of
+    # twice that lose it on the constant data (1e-11) and powers over the
+    # whole horizon turn singular
+    sys, cost, grid = growth_problem(kind)
+    values, escaped, _ = _sweep(_RicFlow(sys, cost, grid),
+                                np.zeros((1, sys.n, sys.n)), grid)
+    assert not escaped[0]
+    assert_close(values[0], ref_sweep(sys, cost, grid))
+
+
+# ---------------------------------------------------------------------------
 # escape refinement
 
 def ref_refine_escape(flow, t_good, y_good, h, forcing):
@@ -536,8 +654,9 @@ class TestEscapeRefinement:
         flow = _RicFlow(sys, cost, grid)
         return flow, grid, lam0, hvals, interval
 
-    # two grids, so the escapes fall on different steps of each
-    @pytest.mark.parametrize("steps", [40, 64])
+    # three grids, so the escapes fall on different steps of each; the
+    # 150-step one spans three blocks of the sweep
+    @pytest.mark.parametrize("steps", [40, 64, 150])
     @pytest.mark.parametrize("kind", ["constant", "sampled"])
     def test_batched_refinement_matches_per_sample(self, kind, steps):
         flow, grid, lam0, hvals, interval = self._batch(kind, steps)
