@@ -8,12 +8,11 @@ from the induced feedback, and `analyzers` composes both into end-to-end
 verdicts for regulator, worst-case, gain-bound, and passivity questions.
 """
 
-from .analyzers import (BracketFailure, Certificate, DNotStrictlyPassive,
-                        DriCloudReport, EscapeUnexpected, NormResult,
-                        VerificationReport, bounded_real_test, dri_cloud,
-                        hinf_norm_bisection, iqc_infimum, passivity_test,
-                        scalar_preset, solve_lqr, solve_stoch_lqr,
-                        verify_solution)
+from .analyzers import (BracketFailure, Certificate, DriCloudReport,
+                        EscapeUnexpected, NormResult, VerificationReport,
+                        bounded_real_test, dri_cloud, hinf_norm_bisection,
+                        iqc_infimum, passivity_test, scalar_preset, solve_lqr,
+                        solve_stoch_lqr, verify_solution)
 from .covariance import (Gain, alignment_residual, closed_loop_simulate,
                          deterministic_covariance, descriptor_residual,
                          gain_from_dual, monte_carlo_cost, primal_objective,
@@ -27,20 +26,17 @@ from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     apply_E_adj, assemble_quadform, effective_cost, validate)
 from .riccati import (DreSolution, DriSample, LoewnerVerdict, MatTrajectory,
                       loewner_compare, solve_dre_final, solve_lyapunov_final)
-from .symmat import (M22NotPDError, NotPSDError, OrthogonalityReport,
-                     SymFactor, SymMat, eps_rank, nuclear_norm,
-                     orthogonality_certificate, schur_psd_test, sigma_max_norm,
-                     sym_factor, trace_duality_maximizer, trace_inner)
+from .symmat import (M22NotPDError, NotPSDError, SymFactor, SymMat, eps_rank,
+                     nuclear_norm, sigma_max_norm, sym_factor,
+                     trace_duality_maximizer, trace_inner)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "SymMat", "SymFactor", "NotPSDError", "M22NotPDError",
-    "OrthogonalityReport",
     "trace_inner", "nuclear_norm", "sigma_max_norm",
-    "trace_duality_maximizer", "sym_factor", "eps_rank", "schur_psd_test",
-    "orthogonality_certificate",
+    "trace_duality_maximizer", "sym_factor", "eps_rank",
     "TimeGrid", "StateSpace", "CostData", "ProblemSpec", "QuadForm",
     "LQR", "StochLQR", "BoundedReal", "PositiveReal", "GeneralIQC",
     "ValidationError", "validate", "effective_cost", "assemble_quadform",
@@ -54,7 +50,7 @@ __all__ = [
     "stochastic_covariance", "primal_objective", "descriptor_residual",
     "alignment_residual", "monte_carlo_cost",
     "Certificate", "NormResult", "DriCloudReport", "VerificationReport",
-    "EscapeUnexpected", "BracketFailure", "DNotStrictlyPassive",
+    "EscapeUnexpected", "BracketFailure",
     "solve_lqr", "solve_stoch_lqr", "iqc_infimum", "bounded_real_test",
     "hinf_norm_bisection", "passivity_test", "dri_cloud", "verify_solution",
     "scalar_preset",

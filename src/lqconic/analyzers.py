@@ -42,7 +42,6 @@ __all__ = [
     "VerificationReport",
     "EscapeUnexpected",
     "BracketFailure",
-    "DNotStrictlyPassive",
     "solve_lqr",
     "solve_stoch_lqr",
     "iqc_infimum",
@@ -66,10 +65,6 @@ class EscapeUnexpected(RuntimeError):
 
 class BracketFailure(RuntimeError):
     """Geometric bracket growth failed to straddle the critical gain."""
-
-
-class DNotStrictlyPassive(ValueError):
-    """Passivity analysis needs D + D^T strictly positive definite."""
 
 
 @dataclass(frozen=True)
@@ -316,15 +311,9 @@ def hinf_norm_bisection(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
 def passivity_test(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS):
     """Finite-horizon passivity of the input/output inner product: holds iff
     the Riccati flow of the half-sum quadratic form stays bounded. Returns
-    (verdict, Certificate)."""
-    d = sys.D if sys.D.ndim == 2 else sys.D[0]
-    ds = d + d.T
-    # a non-finite D is left to validate, which rejects it as NonFinite
-    if ds.size == 0 or np.isfinite(ds).all() and \
-            float(np.linalg.eigvalsh(0.5 * ds).min()) <= 0.0:
-        raise DNotStrictlyPassive(
-            "D + D^T must be strictly positive definite for the "
-            "finite-horizon passivity test")
+    (verdict, Certificate). A feedthrough with D + D^T not strictly
+    positive definite at some sample is rejected by validate
+    (ValidationError with code DNotStrictlyPassive)."""
     cert = analyze(ProblemSpec(sys=sys, grid=TimeGrid(T=T, steps=steps),
                                variant=PositiveReal()))
     return cert.verdict, cert

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import __version__
 from ._num import as_matrix
-from .analyzers import (BracketFailure, Certificate, DNotStrictlyPassive,
-                        EscapeUnexpected, dri_cloud, hinf_norm_bisection,
-                        iqc_infimum, passivity_test, solve_lqr,
-                        solve_stoch_lqr, verify_solution)
+from .analyzers import (BracketFailure, Certificate, EscapeUnexpected,
+                        dri_cloud, hinf_norm_bisection, iqc_infimum,
+                        passivity_test, solve_lqr, solve_stoch_lqr,
+                        verify_solution)
 from .covariance import Gain
 from .model import (BoundedReal, GeneralIQC, LQR, PositiveReal, ProblemSpec,
                     CostData, StateSpace, StochLQR, TimeGrid, ValidationError)
@@ -44,7 +44,6 @@ __all__ = [
     "problem_sha256",
     "certificate_document",
     "write_trajectory_csv",
-    "load_trajectory_csv",
 ]
 
 
@@ -332,18 +331,6 @@ def write_trajectory_csv(path, traj, prefix: str = "l"):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_trajectory_csv(path):
-    """Read back a trajectory CSV; returns (times, rows) with one flat
-    row-major entry vector per node (reshape is the caller's business)."""
-    lines = Path(path).read_text().strip().split("\n")
-    times, rows = [], []
-    for line in lines[1:]:
-        cells = [float(c) for c in line.split(",")]
-        times.append(cells[0])
-        rows.append(cells[1:])
-    return np.array(times), np.array(rows)
-
-
 def _export_certificate_csvs(cert: Certificate, csv_dir):
     out = Path(csv_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -356,36 +343,33 @@ def _export_certificate_csvs(cert: Certificate, csv_dir):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _load_problem(args, expected, wrong: str):
+def _load_problem(args, expected):
     """Load and parse a subcommand's problem document and check that its
-    variant is one of ``expected`` (``wrong`` is the error text, with
-    {got} for the variant found). Returns (document, ProblemSpec,
+    variant tag is one of ``expected``. Returns (document, ProblemSpec,
     options)."""
     doc = _load_json(args.problem)
     spec, options = parse_problem(doc, steps_override=args.steps,
                                   T_override=args.T)
-    if not isinstance(spec.variant, expected):
-        raise DocumentError("variant.type", wrong.format(
-            got=type(spec.variant).__name__))
+    got = doc["variant"]["type"]
+    if got not in expected:
+        wants = " or ".join(repr(tag) for tag in expected)
+        raise DocumentError("variant.type", f"subcommand {args.command!r} "
+                                            f"needs a {wants} problem, got "
+                                            f"{got!r}")
     return doc, spec, options
 
 
-# certificate subcommand -> (help, problem variant, mismatch error, run);
-# run looks its analyzer up by module-level name when called, so a
-# rebinding of that name (a tracer's wrapper, a test's spy) takes effect
+# certificate subcommand -> (help, problem variant tag, run); run looks its
+# analyzer up by module-level name when called, so a rebinding of that name
+# (a tracer's wrapper, a test's spy) takes effect
 _CERTIFICATE_COMMANDS = {
-    "lqr": ("deterministic regulator optimum", LQR,
-            "subcommand 'lqr' needs a 'lqr' problem, got {got}",
+    "lqr": ("deterministic regulator optimum", "lqr",
             lambda spec: solve_lqr(spec)),
-    "slqr": ("stochastic regulator optimum", StochLQR,
-             "subcommand 'stoch_lqr' needs a 'stoch_lqr' problem, got {got}",
+    "slqr": ("stochastic regulator optimum", "stoch_lqr",
              lambda spec: solve_stoch_lqr(spec)),
-    "iqc": ("sign-indefinite quadratic infimum", GeneralIQC,
-            "subcommand 'general_iqc' needs a 'general_iqc' problem, "
-            "got {got}",
+    "iqc": ("sign-indefinite quadratic infimum", "general_iqc",
             lambda spec: iqc_infimum(spec)),
-    "passivity": ("finite-horizon passivity test", PositiveReal,
-                  "subcommand 'passivity' needs a positive_real problem",
+    "passivity": ("finite-horizon passivity test", "positive_real",
                   lambda spec: passivity_test(
                       spec.sys, spec.grid.T, steps=spec.grid.steps)[1]),
 }
@@ -394,8 +378,8 @@ _CERTIFICATE_COMMANDS = {
 def cmd_certificate(args):
     """Run a certificate subcommand: exit 3 on a failed verdict, 2 on a
     minus-infinity value, 0 otherwise."""
-    _, expected, wrong, run = _CERTIFICATE_COMMANDS[args.command]
-    doc, spec, _ = _load_problem(args, expected, wrong)
+    _, expected, run = _CERTIFICATE_COMMANDS[args.command]
+    doc, spec, _ = _load_problem(args, (expected,))
     t0 = time.perf_counter()
     cert = run(spec)
     timing = time.perf_counter() - t0
@@ -409,8 +393,7 @@ def cmd_certificate(args):
 
 
 def cmd_hinf(args):
-    doc, spec, _ = _load_problem(
-        args, BoundedReal, "subcommand 'hinf' needs a bounded_real problem")
+    doc, spec, _ = _load_problem(args, ("bounded_real",))
     # --tol is the bracket width; without it the bisection keeps its own
     if args.tol is not None and not args.tol > 0:
         raise DocumentError("--tol", f"must be positive, got {args.tol!r}")
@@ -430,9 +413,7 @@ def cmd_hinf(args):
 
 
 def cmd_dri_cloud(args):
-    doc, spec, options = _load_problem(
-        args, (LQR, GeneralIQC),
-        "dri-cloud needs a cost-bearing (lqr or general_iqc) problem")
+    doc, spec, options = _load_problem(args, ("lqr", "general_iqc"))
     seed = args.seed if args.seed is not None else options["seed"]
     report = dri_cloud(spec, n_samples=args.samples, switch_points=10,
                        seed=seed)
@@ -587,8 +568,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except (DocumentError, EscapeUnexpected, DNotStrictlyPassive,
-            BracketFailure, OSError) as e:
+    except (DocumentError, EscapeUnexpected, BracketFailure,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ValidationError as e:

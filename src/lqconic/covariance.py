@@ -23,8 +23,7 @@ import numpy as np
 from ._num import (as_matrix, fd_derivative, node_blocks, propagate,
                    propagate_lyapunov, trapz)
 from .dlmi import _assemble_on
-from .model import (CostData, QuadForm, StateSpace, TimeGrid, coeff_at,
-                    coeff_on)
+from .model import CostData, QuadForm, StateSpace, TimeGrid, coeff_on
 from .riccati import MatTrajectory, _ric_rhs, _RicFlow
 from .symmat import sym_factor
 
@@ -58,10 +57,6 @@ class Gain:
         self.grid = grid
         self.K = k
 
-    @classmethod
-    def constant(cls, K, grid: TimeGrid) -> "Gain":
-        return cls(grid, np.atleast_2d(np.asarray(K, dtype=float)))
-
     @property
     def m(self) -> int:
         return self.K.shape[1]
@@ -71,10 +66,7 @@ class Gain:
         return self.K.shape[2]
 
     def at(self, t: float) -> np.ndarray:
-        return coeff_at(self.K, t, self.grid)
-
-    def node(self, k: int) -> np.ndarray:
-        return self.K[k]
+        return coeff_on(self.K, t, self.grid)
 
 
 def gain_from_dual(lambda_bar: MatTrajectory, sys: StateSpace,
@@ -227,7 +219,8 @@ def alignment_residual(sigma: MatTrajectory, lambda_bar: MatTrajectory,
 def monte_carlo_cost(sys: StateSpace, gain: Gain, cost: CostData, W, X_i,
                      grid: TimeGrid, n_paths: int, seed: int):
     """Sample mean and standard error of the quadratic cost under the
-    feedback u = -K(t) x, by Euler-Maruyama at the grid step.
+    feedback u = -K(t) x, by Euler-Maruyama at the grid step, with every
+    coefficient read once at the grid nodes.
 
     The initial state is drawn through a symmetric factor of X_i with
     independent unit-variance sign flips, which reproduces the requested
@@ -248,30 +241,34 @@ def monte_carlo_cost(sys: StateSpace, gain: Gain, cost: CostData, W, X_i,
     else:
         x = np.zeros((n, n_paths))
 
+    def on_nodes(c):
+        # one matrix per node; a constant repeats as a broadcast view
+        c = coeff_on(c, times, grid)
+        return np.broadcast_to(c, times.shape + c.shape[-2:])
+
+    a, b, q, nmat, r = (on_nodes(c) for c in (sys.A, sys.B, cost.Q, cost.N,
+                                              cost.R))
+    kk = gain.K
     w = as_matrix(W)
-    const_noise = w.ndim == 2
-    fw = sym_factor(w) if const_noise else None
+    w_nodes = coeff_on(w, times, grid)
+    fw = sym_factor(w) if w.ndim == 2 else None
 
     integrand = np.empty((grid.steps + 1, n_paths))
 
-    def node_cost(k, t, xs):
-        q, nmat, r = cost.at(t, grid)
-        us = -(gain.node(k) @ xs)
-        return (np.sum(xs * (q @ xs), axis=0)
-                + 2.0 * np.sum(xs * (nmat @ us), axis=0)
-                + np.sum(us * (r @ us), axis=0))
+    def node_cost(k, xs):
+        us = -(kk[k] @ xs)
+        return (np.sum(xs * (q[k] @ xs), axis=0)
+                + 2.0 * np.sum(xs * (nmat[k] @ us), axis=0)
+                + np.sum(us * (r[k] @ us), axis=0))
 
     sqrt_h = np.sqrt(h)
     for k in range(grid.steps):
-        t = times[k]
-        integrand[k] = node_cost(k, t, x)
-        a, b = sys.ab_at(t, grid)
-        fcl = a - b @ gain.node(k)
-        x = x + h * (fcl @ x)
-        fw_k = fw if const_noise else sym_factor(coeff_at(w, t, grid))
+        integrand[k] = node_cost(k, x)
+        x = x + h * ((a[k] - b[k] @ kk[k]) @ x)
+        fw_k = sym_factor(w_nodes[k]) if fw is None else fw
         if fw_k.r:
             x = x + fw_k.U @ (sqrt_h * rng.standard_normal((fw_k.r, n_paths)))
-    integrand[-1] = node_cost(grid.steps, times[-1], x)
+    integrand[-1] = node_cost(grid.steps, x)
 
     costs = trapz(integrand, h)
     mean = float(np.mean(costs))

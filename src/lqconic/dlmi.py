@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._num import as_matrix, fd_derivative, node_blocks, trapz
-from .model import QuadForm, StateSpace, coeff_at, coeff_on
+from .model import QuadForm, StateSpace, coeff_on
 from .riccati import MatTrajectory, _ric_data, _ric_rhs
 from .symmat import M22NotPDError, SymFactor, SymMat
 
@@ -98,8 +98,7 @@ def assemble_M(lam, lam_dot, sys: StateSpace, quadform: QuadForm,
         raise ValueError(
             f"quadratic form dimension {quadform.nq} does not match "
             f"state+input dimension {sys.n + sys.m}")
-    a, b = sys.ab_at(t, quadform.grid)
-    return SymMat(_assemble_raw(lam, lam_dot, a, b, quadform.at(t)))
+    return SymMat(_assemble_on(lam, lam_dot, sys, quadform, t))
 
 
 def feasibility(lam: MatTrajectory, sys: StateSpace, quadform: QuadForm,
@@ -144,14 +143,12 @@ def feasibility(lam: MatTrajectory, sys: StateSpace, quadform: QuadForm,
     )
 
 
-def _coef_at(c, t: float, grid) -> np.ndarray:
-    """A constant or node-sampled coefficient at time t."""
-    c = np.asarray(c, dtype=float)
-    if c.ndim <= 2:
-        return c
-    if grid is None:
+def _data_at(sys: StateSpace, cost, t: float, grid):
+    """(A, B, Q, N, R) at time t; sampled coefficients need the grid."""
+    coeffs = (sys.A, sys.B, cost.Q, cost.N, cost.R)
+    if grid is None and any(c.ndim == 3 for c in coeffs):
         raise ValueError("sampled coefficients need a grid to evaluate at t")
-    return coeff_at(c, t, grid)
+    return [coeff_on(c, t, grid) for c in coeffs]
 
 
 def _pd_sqrt_pair(r: np.ndarray, tol: float = 1e-12):
@@ -187,8 +184,7 @@ def extremal_factorization(lambda_bar, sys: StateSpace, cost, t: float,
     if lam.shape != (sys.n, sys.n):
         raise ValueError(f"value has shape {lam.shape}, expected ({sys.n}, {sys.n})")
 
-    a, b, q, nmat, r = (_coef_at(c, t, grid) for c in (
-        sys.A, sys.B, cost.Q, cost.N, cost.R))
+    a, b, q, nmat, r = _data_at(sys, cost, t, grid)
 
     if lambda_dot is not None:
         ld = np.asarray(lambda_dot, dtype=float).reshape(sys.n, sys.n)
@@ -215,8 +211,7 @@ def lure_residuals(lam, lam_dot, U1, U2, sys: StateSpace, cost,
     u1 = np.atleast_2d(np.asarray(U1, dtype=float))
     u2 = np.atleast_2d(np.asarray(U2, dtype=float))
 
-    a, b, q, nmat, r = (_coef_at(c, t, grid) for c in (
-        sys.A, sys.B, cost.Q, cost.N, cost.R))
+    a, b, q, nmat, r = _data_at(sys, cost, t, grid)
     block11 = q + lam_dot + a.T @ lam + lam @ a
     r1 = float(np.max(np.abs(u1 @ u1.T - block11)))
     r2 = float(np.max(np.abs(u1 @ u2.T - (nmat + lam @ b))))

@@ -6,9 +6,9 @@ restriction operator (top-left block), the dynamics operator, and their
 adjoints, which together express the covariance differential equation and
 the differential LMI.
 
-Time-varying coefficients are stored as node samples on the problem grid and
-evaluated with piecewise-linear interpolation; evaluation at a grid node
-reproduces the stored sample exactly.
+Time-varying coefficients are stored as node samples on the problem grid.
+`coeff_on` is the one evaluator: piecewise-linear interpolation at one time
+or a batch of times, which reproduces the stored sample exactly at a node.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "validate",
     "assemble_quadform",
     "effective_cost",
-    "coeff_at",
     "coeff_on",
     "apply_E",
     "apply_Aop",
@@ -86,33 +85,17 @@ def _as_coeff(value, rows: int = None, cols: int = None) -> np.ndarray:
     return a
 
 
-def coeff_at(coeff: np.ndarray, t: float, grid: TimeGrid) -> np.ndarray:
-    """Evaluate a constant (2-D) or node-sampled (3-D) coefficient at time t.
-
-    Sampled coefficients are linearly interpolated between nodes; node times
-    reproduce the stored samples exactly. The sample count itself fixes the
-    spacing over [0, grid.T], so a coefficient sampled on a coarser grid
-    still evaluates correctly against a refined one.
-    """
-    if coeff.ndim == 2:
-        return coeff
-    pos = t * (coeff.shape[0] - 1) / grid.T
-    k = int(np.floor(pos))
-    k = min(max(k, 0), coeff.shape[0] - 2)
-    w = pos - k
-    if w <= 1e-12:
-        return coeff[k]
-    if w >= 1.0 - 1e-12:
-        return coeff[k + 1]
-    return (1.0 - w) * coeff[k] + w * coeff[k + 1]
-
-
 def coeff_on(coeff: np.ndarray, times, grid: TimeGrid) -> np.ndarray:
-    """Evaluate a coefficient at many times at once.
+    """Evaluate a constant (2-D) or node-sampled (3-D) coefficient at a
+    time or an array of times.
 
-    A sampled coefficient gives one matrix per time, stacked along a leading
-    axis, each bitwise equal to ``coeff_at`` at that time (same arithmetic,
-    same snapping to nodes). A constant coefficient is returned as is; it
+    A sampled coefficient is linearly interpolated between its samples, and
+    a time within 1e-12 (in units of the sample spacing) of a sample
+    reproduces that sample exactly. The sample count itself fixes the
+    spacing over [0, grid.T], so a coefficient sampled on a coarser grid
+    still evaluates correctly against a refined one. An array of times
+    gives one matrix per time, stacked along a leading axis; a scalar time
+    gives one matrix. A constant coefficient is returned as is; it
     broadcasts against the stacked samples of the others.
     """
     if coeff.ndim == 2:
@@ -157,9 +140,6 @@ class StateSpace:
         self.m = m
         self.p = p
 
-    def ab_at(self, t: float, grid: TimeGrid):
-        return coeff_at(self.A, t, grid), coeff_at(self.B, t, grid)
-
 
 @dataclass(frozen=True)
 class CostData:
@@ -182,13 +162,6 @@ class CostData:
         if N is None:
             N = np.zeros((n, m))
         object.__setattr__(self, "N", _as_coeff(N, rows=n, cols=m))
-
-    def at(self, t: float, grid: TimeGrid):
-        return (
-            coeff_at(self.Q, t, grid),
-            coeff_at(self.N, t, grid),
-            coeff_at(self.R, t, grid),
-        )
 
 
 @dataclass(frozen=True)
@@ -443,12 +416,6 @@ class QuadForm:
     nq: int
     grid: TimeGrid
     Qmat: np.ndarray
-
-    def at(self, t: float) -> np.ndarray:
-        return coeff_at(self.Qmat, t, self.grid)
-
-    def node(self, k: int) -> np.ndarray:
-        return self.Qmat[k] if self.Qmat.ndim == 3 else self.Qmat
 
 
 def assemble_quadform(spec: ProblemSpec) -> QuadForm:

@@ -49,7 +49,7 @@ import numpy as np
 
 from ._num import (NODE_BLOCK, as_matrix, fd_derivative, node_blocks,
                    propagate_lyapunov, rk4_map)
-from .model import CostData, StateSpace, TimeGrid, coeff_at, coeff_on
+from .model import CostData, StateSpace, TimeGrid, coeff_on
 
 __all__ = [
     "MatTrajectory",
@@ -99,7 +99,7 @@ class MatTrajectory:
         return self.values.shape[1]
 
     def at(self, t: float) -> np.ndarray:
-        return coeff_at(self.values, t, self.grid)
+        return coeff_on(self.values, t, self.grid)
 
     def node(self, k: int) -> np.ndarray:
         return self.values[k]

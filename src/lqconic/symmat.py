@@ -1,10 +1,9 @@
 """Symmetric-matrix and positive-cone primitives.
 
-Inner products, the dual pair of norms (nuclear / largest singular value),
-rank-revealing symmetric factorization, epsilon-rank, Schur-complement
-positivity tests, and orthogonality certificates for pairs of positive
-semidefinite matrices. Everything here is a pure function of immutable
-inputs.
+Inner products, the dual pair of norms (nuclear / largest singular value)
+and the matrix attaining their duality, rank-revealing symmetric
+factorization and epsilon-rank. Everything here is a pure function of
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from ._num import as_matrix
 __all__ = [
     "SymMat",
     "SymFactor",
-    "OrthogonalityReport",
     "NotPSDError",
     "M22NotPDError",
     "trace_inner",
@@ -27,8 +25,6 @@ __all__ = [
     "trace_duality_maximizer",
     "sym_factor",
     "eps_rank",
-    "schur_psd_test",
-    "orthogonality_certificate",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -39,7 +35,8 @@ class NotPSDError(ValueError):
 
 
 class M22NotPDError(ValueError):
-    """Lower-right block of a Schur test is not strictly positive definite."""
+    """Lower-right (input-weight) block of a joint matrix is not strictly
+    positive definite."""
 
 
 class SymMat:
@@ -164,77 +161,3 @@ def eps_rank(m, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues with |lambda| > tol * max(1, ||m||)."""
     w = np.linalg.eigvalsh(_as_sym(m))
     return int(np.count_nonzero(np.abs(w) > _eig_threshold(w, tol)))
-
-
-def schur_psd_test(m11, m12, m22, tol: float = DEFAULT_TOL) -> bool:
-    """PSD verdict for the block matrix [[m11, m12], [m12^T, m22]].
-
-    Requires m22 strictly positive definite (min eigenvalue > tol); the
-    verdict tests the Schur complement m11 - m12 m22^{-1} m12^T >= -tol and
-    agrees with a direct eigenvalue test of the assembled block matrix.
-    """
-    a11 = _as_sym(m11)
-    a22 = _as_sym(m22)
-    a12 = np.asarray(m12, dtype=float)
-    if a12.ndim == 0:
-        a12 = a12.reshape(1, 1)
-    if a12.shape != (a11.shape[0], a22.shape[0]):
-        raise ValueError(
-            f"off-diagonal block shape {a12.shape} does not match "
-            f"({a11.shape[0]}, {a22.shape[0]})"
-        )
-    w22 = np.linalg.eigvalsh(a22)
-    if w22.min() <= tol:
-        raise M22NotPDError(
-            f"lower-right block min eigenvalue {w22.min():.3e} <= {tol:.3e}"
-        )
-    comp = a11 - a12 @ np.linalg.solve(a22, a12.T)
-    wmin = float(np.linalg.eigvalsh(0.5 * (comp + comp.T)).min())
-    return wmin >= -tol
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """Certificate that two PSD matrices with zero inner product have
-    orthogonal images and complementary rank budget."""
-
-    inner: float
-    orthogonal: bool          # inner product within tolerance of zero
-    tested: bool              # whether the image/rank assertions were evaluated
-    cross_max: float          # max |U1^T U2| entry (nan when not tested)
-    cross_ok: bool
-    rank1: int
-    rank2: int
-    rank_sum_ok: bool
-
-
-def orthogonality_certificate(m1, m2, tol: float = DEFAULT_TOL) -> OrthogonalityReport:
-    """Check the orthogonal-image consequences of <m1, m2> = 0 for PSD m1, m2.
-
-    When the inner product is within tolerance of zero the factors satisfy
-    U1^T U2 ~ 0 (entrywise bounded by sqrt of the inner product, since
-    tr(m1 m2) = ||U1^T U2||_F^2) and the epsilon-ranks sum to at most n.
-    """
-    a1, a2 = _as_sym(m1), _as_sym(m2)
-    if a1.shape != a2.shape:
-        raise ValueError(f"dimension mismatch: {a1.shape} vs {a2.shape}")
-    f1 = sym_factor(a1, tol)  # raises NotPSDError if violated
-    f2 = sym_factor(a2, tol)
-    inner = trace_inner(a1, a2)
-    scale = max(1.0, sigma_max_norm(a1)) * max(1.0, sigma_max_norm(a2))
-    orthogonal = inner <= tol * scale
-    if not orthogonal:
-        return OrthogonalityReport(
-            inner=inner, orthogonal=False, tested=False,
-            cross_max=float("nan"), cross_ok=False,
-            rank1=f1.r, rank2=f2.r, rank_sum_ok=False,
-        )
-    cross = f1.U.T @ f2.U
-    cross_max = float(np.max(np.abs(cross))) if cross.size else 0.0
-    cross_ok = cross_max <= np.sqrt(max(inner, 0.0) + tol * scale)
-    rank_sum_ok = f1.r + f2.r <= a1.shape[0]
-    return OrthogonalityReport(
-        inner=inner, orthogonal=True, tested=True,
-        cross_max=cross_max, cross_ok=cross_ok,
-        rank1=f1.r, rank2=f2.r, rank_sum_ok=rank_sum_ok,
-    )

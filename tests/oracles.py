@@ -6,12 +6,35 @@ the library and these oracles is evidence rather than tautology.
 
 Scope deliberately kept narrow: constant (time-invariant) matrices,
 zero-order-hold inputs, dense stacked quadratic programs. Fine for the
-small instances the tests use (a few states, tens of steps).
+small instances the tests use (a few states, tens of steps). The one
+time-varying piece is `coeff_at`, the scalar interpolation of a
+node-sampled coefficient that the library's batched evaluator is tested
+against and that the per-node reference loops read.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+
+
+def coeff_at(coeff, t, grid):
+    """A constant (2-D) or node-sampled (3-D) coefficient at one time t.
+
+    Sampled coefficients are linearly interpolated between their samples,
+    spread evenly over [0, grid.T]; a time within 1e-12 of a sample (in
+    units of the sample spacing) returns that sample exactly.
+    """
+    if coeff.ndim == 2:
+        return coeff
+    pos = t * (coeff.shape[0] - 1) / grid.T
+    k = int(np.floor(pos))
+    k = min(max(k, 0), coeff.shape[0] - 2)
+    w = pos - k
+    if w <= 1e-12:
+        return coeff[k]
+    if w >= 1.0 - 1e-12:
+        return coeff[k + 1]
+    return (1.0 - w) * coeff[k] + w * coeff[k + 1]
 
 
 def zoh_pair(a, b, h):

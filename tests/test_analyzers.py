@@ -15,7 +15,6 @@ import pytest
 from lqconic import (
     BoundedReal,
     CostData,
-    DNotStrictlyPassive,
     EscapeUnexpected,
     GeneralIQC,
     LQR,
@@ -245,9 +244,17 @@ class TestPassivity:
         assert cert.minus_infinity
 
     def test_feedthrough_precondition(self):
-        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
-        with pytest.raises(DNotStrictlyPassive):
-            passivity_test(sys, T=5.0)
+        # D + D^T must be strictly positive definite at every sample: zero,
+        # positive but inside the PSD_TOL band, and a sampled D whose first
+        # sample is fine and a later one negative all get the one error
+        sampled = np.ones((17, 1, 1))
+        sampled[9] = -0.5
+        for d in ([[0.0]], [[4e-10]], sampled):
+            sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=d)
+            with pytest.raises(ValidationError) as e:
+                passivity_test(sys, T=5.0, steps=16)
+            assert [v.code for v in e.value.violations] == \
+                ["DNotStrictlyPassive"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feedthrough_is_non_finite(self, bad):
@@ -530,7 +537,7 @@ class TestVerifySolution:
         from lqconic import Gain
         spec = lqr_spec(steps=256)
         cert = solve_lqr(spec)
-        zero = Gain.constant(np.zeros((1, 1)), cert.grid)
+        zero = Gain(cert.grid, np.zeros((1, 1)))
         forged = dataclasses.replace(cert, gain=zero)
         report = verify_solution(spec, forged)
         assert not report.passed

@@ -6,7 +6,9 @@ sweeps) evaluate along the node axis in blocks of NODE_BLOCK nodes, with
 coefficients tabulated by coeff_on; the forward and backward propagations
 build the RK4 maps of their linear flows a block at a time and apply them
 node by node. The loops below are the reference: one node at a time, every
-coefficient read by coeff_at, each RK4 step taken on the state itself.
+coefficient read by the scalar interpolator oracles.coeff_at (the
+independent reference that coeff_on is tested against bitwise), each RK4
+step taken on the state itself.
 Grids have 2 * NODE_BLOCK + 3 steps, so a partial tail block is covered,
 and the coefficients are constant, node-sampled, or sampled on a grid and
 evaluated on its 2x refinement (as verify_solution does).
@@ -14,10 +16,11 @@ evaluated on its 2x refinement (as verify_solution does).
 The Riccati sweep takes blocks of SCAN_STEPS steps: prefix products of
 the block's RK4 maps of the Hamiltonian flow carry [I; Lam] across the
 block, and one batched solve gives every node's Moebius image. Its
-reference builds each step's map from coefficients read by coeff_at and
-applies it as a Moebius update one node at a time. The two agree to
-rounding across block edges, with escapes at either end of a block and in
-the partial tail block, and over blocks whose products grow. The sweep
+reference builds each step's map from coefficients read by
+oracles.coeff_at and applies it as a Moebius update one node at a time.
+The two agree to rounding across block edges, with escapes at either end
+of a block and in the partial tail block, and over blocks whose products
+grow. The sweep
 refines the escapes of all its samples in one vectorized bisection after
 the sweep; the reference bisects one sample at a time from its last good
 state, on the unscreened denominator test, and must give the same escape
@@ -35,14 +38,14 @@ from lqconic.covariance import (alignment_residual,
                                 stochastic_covariance)
 from lqconic.dlmi import dual_objective, feasibility
 from lqconic.model import (CostData, ProblemSpec, StateSpace, StochLQR,
-                           TimeGrid, apply_Aop, assemble_quadform, coeff_at,
-                           coeff_on)
+                           TimeGrid, apply_Aop, assemble_quadform, coeff_on)
 from lqconic._num import propagate, rk4_map
 from lqconic.riccati import (SAMPLE_CHUNK, SCAN_STEPS, _operator_blocks,
                              _residual_sweep, _RicFlow, _step_intervals,
                              _step_maps, _sweep, draw_forcing,
                              solve_dre_final, solve_lyapunov_final,
                              switch_bounds)
+from oracles import coeff_at
 
 STEPS = 2 * NODE_BLOCK + 3
 RTOL = 1e-12
@@ -60,6 +63,14 @@ def assert_close(got, want):
 
 # ---------------------------------------------------------------------------
 # per-node reference loops
+
+def ab_at(sys, t, grid):
+    return coeff_at(sys.A, t, grid), coeff_at(sys.B, t, grid)
+
+
+def cost_at(cost, t, grid):
+    return tuple(coeff_at(c, t, grid) for c in (cost.Q, cost.N, cost.R))
+
 
 def ref_rhs(lam, a, b, q, nmat, r):
     shifted = nmat + lam @ b
@@ -82,8 +93,8 @@ def ref_feasibility(lam, sys, qf, tol):
     fd = fd_derivative(lam.values, grid.h)
     min_eig, rank = [], []
     for k, t in enumerate(grid.times()):
-        a, b = sys.ab_at(t, grid)
-        qm = qf.at(t)
+        a, b = ab_at(sys, t, grid)
+        qm = coeff_at(qf.Qmat, t, qf.grid)
         eigs = np.linalg.eigvalsh(ref_m(lam.values[k], fd[k], a, b, qm))
         min_eig.append(eigs[0])
         cut = tol * max(1.0, float(np.abs(eigs).max()))
@@ -95,8 +106,8 @@ def ref_gain(lam, sys, cost):
     grid = lam.grid
     out = []
     for k, t in enumerate(grid.times()):
-        _, b = sys.ab_at(t, grid)
-        _, nmat, r = cost.at(t, grid)
+        _, b = ab_at(sys, t, grid)
+        _, nmat, r = cost_at(cost, t, grid)
         out.append(np.linalg.solve(r, nmat.T + b.T @ lam.values[k]))
     return np.stack(out)
 
@@ -117,23 +128,23 @@ def ref_rk4(f, y0, grid, sym=False):
 
 def ref_closed_loop(sys, gain, x0, grid):
     def f(t, x):
-        a, b = sys.ab_at(t, grid)
-        return (a - b @ gain.at(t)) @ x
+        a, b = ab_at(sys, t, grid)
+        return (a - b @ coeff_at(gain.K, t, gain.grid)) @ x
 
     x = ref_rk4(f, x0, grid)
-    return x, np.stack([-gain.node(k) @ x[k] for k in range(len(x))])
+    return x, np.stack([-gain.K[k] @ x[k] for k in range(len(x))])
 
 
 def ref_stochastic(sys, gain, W, X_i, grid):
     def f(t, s):
-        a, b = sys.ab_at(t, grid)
-        fcl = a - b @ gain.at(t)
+        a, b = ab_at(sys, t, grid)
+        fcl = a - b @ coeff_at(gain.K, t, gain.grid)
         return fcl @ s + s @ fcl.T + coeff_at(W, t, grid)
 
     sxx = ref_rk4(f, 0.5 * (X_i + X_i.T), grid, sym=True)
     blocks = []
     for k, s in enumerate(sxx):
-        kk = gain.node(k)
+        kk = gain.K[k]
         cross = -s @ kk.T
         blocks.append(np.block([[s, cross], [cross.T, kk @ s @ kk.T]]))
     return np.stack(blocks)
@@ -141,7 +152,8 @@ def ref_stochastic(sys, gain, W, X_i, grid):
 
 def ref_primal(sig, qf):
     grid = sig.grid
-    return trapz(np.array([np.sum(qf.at(t) * sig.values[k])
+    return trapz(np.array([np.sum(coeff_at(qf.Qmat, t, grid)
+                                  * sig.values[k])
                            for k, t in enumerate(grid.times())]), grid.h)
 
 
@@ -151,7 +163,7 @@ def ref_descriptor(sig, sys, W=None):
     times = grid.times()
     worst = 0.0
     for k in range(1, grid.steps):
-        a, b = sys.ab_at(times[k], grid)
+        a, b = ab_at(sys, times[k], grid)
         r = sdot[k][:n, :n] - apply_Aop(sig.values[k], a, b)
         if W is not None:
             r = r - coeff_at(W, times[k], grid)
@@ -163,9 +175,10 @@ def ref_alignment(sig, lam, sys, cost, qf):
     grid = lam.grid
     vals = []
     for k, t in enumerate(grid.times()):
-        a, b = sys.ab_at(t, grid)
-        ld = ref_rhs(lam.values[k], a, b, *cost.at(t, grid))
-        vals.append(np.sum(ref_m(lam.values[k], ld, a, b, qf.at(t))
+        a, b = ab_at(sys, t, grid)
+        ld = ref_rhs(lam.values[k], a, b, *cost_at(cost, t, grid))
+        qm = coeff_at(qf.Qmat, t, grid)
+        vals.append(np.sum(ref_m(lam.values[k], ld, a, b, qm)
                            * sig.values[k]))
     return trapz(np.array(vals), grid.h)
 
@@ -179,8 +192,8 @@ def ref_dual_w(lam, W):
 def ref_hamiltonian(t, sys, cost, grid, forcing=0.0):
     """The linear flow d/dt [X; Y] = F [X; Y] with Lam = Y X^{-1}, under a
     forcing matrix H."""
-    a, b = sys.ab_at(t, grid)
-    q, nmat, r = cost.at(t, grid)
+    a, b = ab_at(sys, t, grid)
+    q, nmat, r = cost_at(cost, t, grid)
     ri = np.linalg.inv(r)
     return np.block([
         [a - b @ ri @ nmat.T, -b @ ri @ b.T],
@@ -191,7 +204,7 @@ def ref_hamiltonian(t, sys, cost, grid, forcing=0.0):
 def ref_sweep(sys, cost, grid, lam0=None, forcing=0.0):
     """Backward Riccati sweep from lam0 (zero by default) under a constant
     forcing matrix: per step the RK4 map of the Hamiltonian flow,
-    coefficients read by coeff_at at every stage, applied to Lam as a
+    coefficients read by oracles.coeff_at at every stage, applied to Lam as a
     Moebius update. From the first step whose denominator M11 + M12 Lam has
     a nonpositive determinant or real eigenvalue (an escape) on, the nodes
     hold NaN."""
@@ -226,8 +239,8 @@ def ref_operator(values, sys, cost, grid):
     ldot = fd_derivative(values[idx], grid.h)
     times = grid.times()
     for j, k in enumerate(idx):
-        a, b = sys.ab_at(times[k], grid)
-        q, nmat, r = cost.at(times[k], grid)
+        a, b = ab_at(sys, times[k], grid)
+        q, nmat, r = cost_at(cost, times[k], grid)
         out[k] = ldot[j] - ref_rhs(values[k], a, b, 0.5 * (q + q.T), nmat, r)
     return out, idx
 
@@ -395,7 +408,8 @@ class TestStagesMatchLoops:
     def test_gain_resampled_on_refined_grid(self, prob):
         fine = prob.grid.refined(2)
         got = coeff_on(prob.gain.K, fine.times(), prob.grid)
-        want = np.stack([prob.gain.at(t) for t in fine.times()])
+        want = np.stack([coeff_at(prob.gain.K, t, prob.grid)
+                         for t in fine.times()])
         np.testing.assert_array_equal(got, want)
 
 
@@ -439,8 +453,12 @@ class TestCoeffOn:
                                   (-1e-11, -1e-13, 1e-13, 1e-11)])
         got = coeff_on(coeff, times, grid)
         for i, ti in enumerate(times):
-            want = coeff_at(coeff, ti, grid)
+            want = coeff_at(coeff, float(ti), grid)
             assert got[i].tobytes() == want.tobytes(), (ti, i)
+            # a scalar time gives the one (rows, cols) matrix
+            one = coeff_on(coeff, float(ti), grid)
+            assert one.shape == (2, 3)
+            assert one.tobytes() == want.tobytes(), (ti, i)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from lqconic import cli
-from lqconic.cli import (DocumentError, load_trajectory_csv, main,
-                         parse_problem, problem_sha256)
+from lqconic.cli import DocumentError, main, parse_problem, problem_sha256
 from lqconic.model import GeneralIQC, LQR, TimeGrid
 from oracles import convolution_norm
 
@@ -86,6 +85,13 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def read_trajectory_csv(path):
+    """(times, rows) of a trajectory CSV: the time column, and one flat
+    row-major entry vector per node."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return data[:, 0], data[:, 1:]
 
 
 def load_schema(name):
@@ -315,10 +321,22 @@ class TestExitCodes:
         assert rc == 1
         assert literal in err and out == ""
 
-    def test_variant_subcommand_mismatch(self, tmp_path, capsys):
-        rc, _, err = run(capsys, ["lqr", write_doc(tmp_path, br_doc())])
+    @pytest.mark.parametrize("command, wants, doc", [
+        ("lqr", "'lqr'", br_doc),
+        ("slqr", "'stoch_lqr'", lqr_doc),
+        ("iqc", "'general_iqc'", lqr_doc),
+        ("passivity", "'positive_real'", lqr_doc),
+        ("hinf", "'bounded_real'", lqr_doc),
+        ("dri-cloud", "'lqr' or 'general_iqc'", br_doc),
+    ], ids=["lqr", "slqr", "iqc", "passivity", "hinf", "dri-cloud"])
+    def test_variant_subcommand_mismatch(self, tmp_path, capsys, command,
+                                         wants, doc):
+        rc, _, err = run(capsys, [command, write_doc(tmp_path, doc())])
+        got = doc()["variant"]["type"]
         assert rc == 1
-        assert "needs a 'lqr' problem" in err
+        assert f"needs a {wants} problem" in err
+        assert f"subcommand {command!r} needs a {wants} problem, got " \
+               f"{got!r}" in err
 
     def test_validation_failure_lists_violations(self, tmp_path, capsys):
         doc = lqr_doc()
@@ -448,13 +466,13 @@ class TestCsvExport:
                                   "--csv-dir", str(csv_dir)])
         assert rc == 0
         res = json.loads(out)
-        times, rows = load_trajectory_csv(csv_dir / "gain.csv")
+        times, rows = read_trajectory_csv(csv_dir / "gain.csv")
         grid = TimeGrid(T=1.0, steps=64)
         assert np.array_equal(times, grid.times())
         flat_doc = np.array(res["gain"]["nodes"])
         assert np.array_equal(rows, flat_doc)
 
-        times_l, rows_l = load_trajectory_csv(csv_dir / "dual.csv")
+        times_l, rows_l = read_trajectory_csv(csv_dir / "dual.csv")
         assert len(times_l) == 65
         # dual trajectory of this problem is tanh(T - t)
         assert np.allclose(rows_l[:, 0], np.tanh(1.0 - times_l), atol=1e-4)
@@ -486,7 +504,7 @@ class TestCsvExport:
         lines = text.strip().split("\n")
         # escape near t = 0.43 of [0, 2]: only the valid tail is written
         assert 1 < len(lines) - 1 < 129
-        times, _ = load_trajectory_csv(csv_dir / "dual.csv")
+        times, _ = read_trajectory_csv(csv_dir / "dual.csv")
         assert times.min() > 0.4
 
 
@@ -550,7 +568,8 @@ class TestDriCloudCommand:
         rc, _, err = run(capsys, ["dri-cloud", write_doc(tmp_path, br_doc()),
                                   "--csv-dir", str(tmp_path / "o")])
         assert rc == 1
-        assert "cost-bearing" in err
+        assert "needs a 'lqr' or 'general_iqc' problem, got " \
+               "'bounded_real'" in err
 
 
 class TestVerifyCommand:

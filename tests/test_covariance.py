@@ -28,8 +28,10 @@ from lqconic import (
     primal_objective,
     solve_dre_final,
     stochastic_covariance,
+    sym_factor,
 )
 from lqconic._num import fd_derivative, trapz
+from oracles import coeff_at
 
 SYS = StateSpace(A=[[0.0]], B=[[1.0]])
 COST = CostData(Q=[[1.0]], N=None, R=[[1.0]])
@@ -46,9 +48,9 @@ def scalar_setup(steps=512):
 class TestGain:
     def test_constant_coercion(self):
         grid = TimeGrid(T=1.0, steps=4)
-        g = Gain.constant(np.array([[1.0, 2.0]]), grid)
+        g = Gain(grid, np.array([[1.0, 2.0]]))
         assert g.m == 1 and g.n == 2
-        np.testing.assert_allclose(g.node(3), [[1.0, 2.0]])
+        np.testing.assert_allclose(g.K[3], [[1.0, 2.0]])
 
     def test_interpolation_midpoint(self):
         grid = TimeGrid(T=1.0, steps=2)
@@ -76,7 +78,7 @@ class TestGain:
 class TestClosedLoopSimulate:
     def test_zero_gain_zero_flow(self):
         grid = TimeGrid(T=1.0, steps=16)
-        g = Gain.constant(np.zeros((1, 1)), grid)
+        g = Gain(grid, np.zeros((1, 1)))
         x, u = closed_loop_simulate(SYS, g, [3.0], grid)
         np.testing.assert_allclose(x[:, 0], 3.0)
         np.testing.assert_allclose(u, 0.0)
@@ -84,7 +86,7 @@ class TestClosedLoopSimulate:
     def test_decay_closed_form(self):
         grid = TimeGrid(T=1.0, steps=128)
         sys = StateSpace(A=[[-1.0]], B=[[1.0]])
-        g = Gain.constant(np.zeros((1, 1)), grid)
+        g = Gain(grid, np.zeros((1, 1)))
         x, _ = closed_loop_simulate(sys, g, [1.0], grid)
         np.testing.assert_allclose(x[:, 0], np.exp(-grid.times()), atol=1e-9)
 
@@ -118,13 +120,13 @@ class TestDeterministicCovariance:
 class TestStochasticCovariance:
     def test_no_noise_no_state(self):
         grid = TimeGrid(T=1.0, steps=32)
-        g = Gain.constant(np.zeros((1, 1)), grid)
+        g = Gain(grid, np.zeros((1, 1)))
         sig = stochastic_covariance(SYS, g, [[0.0]], [[0.0]], grid)
         assert np.abs(sig.values).max() == 0.0
 
     def test_pure_diffusion_linear_growth(self):
         grid = TimeGrid(T=1.0, steps=64)
-        g = Gain.constant(np.zeros((1, 1)), grid)
+        g = Gain(grid, np.zeros((1, 1)))
         sig = stochastic_covariance(SYS, g, [[1.0]], [[0.0]], grid)
         t = grid.times()
         np.testing.assert_allclose(sig.values[:, 0, 0], t, atol=1e-10)
@@ -135,7 +137,7 @@ class TestStochasticCovariance:
         sig = stochastic_covariance(SYS, gain, [[1.0]], [[1.0]], grid)
         for k in (0, 32, 64):
             s = sig.node(k)
-            kk = gain.node(k)[0, 0]
+            kk = gain.K[k, 0, 0]
             assert s[0, 1] == pytest.approx(-s[0, 0] * kk, abs=1e-12)
             assert s[1, 1] == pytest.approx(s[0, 0] * kk * kk, abs=1e-12)
 
@@ -192,7 +194,7 @@ class TestDescriptorResidual:
 
     def test_stochastic_needs_noise_term(self):
         grid = TimeGrid(T=1.0, steps=64)
-        g = Gain.constant(np.zeros((1, 1)), grid)
+        g = Gain(grid, np.zeros((1, 1)))
         sig = stochastic_covariance(SYS, g, [[1.0]], [[0.0]], grid)
         with_w = descriptor_residual(sig, SYS, W=[[1.0]])
         without = descriptor_residual(sig, SYS)
@@ -224,7 +226,7 @@ class TestAlignmentResidual:
 
     def test_suboptimal_gain_reproduces_gap(self):
         grid, qf, dre = scalar_setup()
-        zero = Gain.constant(np.zeros((1, 1)), grid)
+        zero = Gain(grid, np.zeros((1, 1)))
         x, u = closed_loop_simulate(SYS, zero, [1.0], grid)
         sig = deterministic_covariance(x, u, grid)
         align = alignment_residual(sig, dre.lam, SYS, COST, qf)
@@ -249,7 +251,58 @@ class TestAlignmentResidual:
         assert abs(a - b) <= 10.0 * grid.h ** 2
 
 
+def euler_maruyama_cost(sys, gain, cost, W, X_i, grid, n_paths, seed):
+    """Per-step reference for monte_carlo_cost: every coefficient read at
+    the step's time by the scalar interpolator, the same draws in the same
+    order (sign flips of the initial factor, then one normal block per
+    step)."""
+    rng = np.random.default_rng(seed)
+    h, times = grid.h, grid.times()
+    fx = sym_factor(X_i)
+    x = fx.U @ (rng.integers(0, 2, size=(fx.r, n_paths)) * 2.0 - 1.0)
+
+    def running(t, x):
+        q, nmat, r = (coeff_at(c, t, grid) for c in (cost.Q, cost.N, cost.R))
+        u = -coeff_at(gain.K, t, gain.grid) @ x
+        return np.einsum("ip,ij,jp->p", x, q, x) \
+            + 2.0 * np.einsum("ip,ij,jp->p", x, nmat, u) \
+            + np.einsum("ip,ij,jp->p", u, r, u)
+
+    integrand = []
+    for t in times[:-1]:
+        integrand.append(running(t, x))
+        a, b = coeff_at(sys.A, t, grid), coeff_at(sys.B, t, grid)
+        x = x + h * ((a - b @ coeff_at(gain.K, t, gain.grid)) @ x)
+        fw = sym_factor(coeff_at(W, t, grid))
+        x = x + fw.U @ (np.sqrt(h) * rng.standard_normal((fw.r, n_paths)))
+    integrand.append(running(times[-1], x))
+    costs = trapz(np.array(integrand), h)
+    return np.mean(costs), np.std(costs, ddof=1) / np.sqrt(n_paths)
+
+
 class TestMonteCarloCost:
+    def test_node_sampled_data_match_per_step_loop(self):
+        # A, B, Q and N sampled at the grid's 41 nodes, W at 17 samples
+        grid = TimeGrid(T=1.3, steps=40)
+        wave = 1.0 + 0.3 * np.sin(6.0 * np.linspace(0.0, 1.0, 41))
+        wave = wave[:, None, None]
+        rng = np.random.default_rng(8)
+        g, h, x = (rng.uniform(-1.0, 1.0, (3, 3)) for _ in range(3))
+        sys = StateSpace(A=rng.uniform(-1.0, 1.0, (3, 3)) * wave,
+                         B=rng.uniform(-1.0, 1.0, (3, 2)) * wave)
+        cost = CostData(Q=(g @ g.T + 0.1 * np.eye(3)) * wave,
+                        N=0.1 * rng.uniform(-1.0, 1.0, (3, 2)) * wave,
+                        R=np.diag([1.0, 2.0]))
+        w = 0.3 * (h @ h.T) * (1.0 + 0.5 * np.sin(
+            4.0 * np.linspace(0.0, 1.0, 17)))[:, None, None]
+        dre = solve_dre_final(sys, cost, np.zeros((3, 3)), grid)
+        gain = gain_from_dual(dre.lam, sys, cost)
+        got = monte_carlo_cost(sys, gain, cost, w, x @ x.T, grid,
+                               n_paths=50, seed=3)
+        want = euler_maruyama_cost(sys, gain, cost, w, x @ x.T, grid, 50, 3)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
     # on most grids the mean of the identical path costs rounds off them
     @pytest.mark.parametrize("steps", [64, 512])
     def test_point_mass_exact_pathwise(self, steps):

@@ -268,6 +268,26 @@ class TestExtremalFactorization:
         assert f.r == 1
 
 
+class TestSampledDataNeedAGrid:
+    # a node-sampled coefficient has no value at t without its grid; the
+    # input check names that instead of failing inside the interpolation
+    @pytest.mark.parametrize("field", ["A", "Q"])
+    def test_rejected_without_grid(self, field):
+        samples = np.linspace(0.5, 1.5, 5).reshape(5, 1, 1)
+        sys = StateSpace(A=samples if field == "A" else [[0.0]], B=[[1.0]])
+        cost = CostData(Q=samples if field == "Q" else [[1.0]], N=None,
+                        R=[[1.0]])
+        args = ([[0.5]], [[0.0]], [[0.5]], [[1.0]], sys, cost)
+        with pytest.raises(ValueError, match="need a grid"):
+            extremal_factorization([[0.5]], sys, cost, 0.3)
+        with pytest.raises(ValueError, match="need a grid"):
+            lure_residuals(*args, t=0.3)
+        grid = TimeGrid(T=1.0, steps=4)
+        assert extremal_factorization([[0.5]], sys, cost, 0.3,
+                                      grid=grid).r == 1
+        assert len(lure_residuals(*args, t=0.3, grid=grid)) == 3
+
+
 class TestLureResiduals:
     def test_extremal_factors_satisfy_equations(self):
         grid, qf = scalar_setup()

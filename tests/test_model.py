@@ -26,7 +26,7 @@ from lqconic import (
     trace_inner,
     validate,
 )
-from lqconic.model import coeff_at
+from lqconic.model import coeff_on
 
 
 def scalar_lqr_spec(T=1.0, steps=100):
@@ -58,22 +58,24 @@ class TestTimeGrid:
 
 
 class TestCoeffAt:
+    """coeff_on at one time."""
+
     def test_constant_passthrough(self):
         g = TimeGrid(T=1.0, steps=4)
         c = np.array([[2.0]])
-        assert coeff_at(c, 0.3, g)[0, 0] == 2.0
+        assert coeff_on(c, 0.3, g)[0, 0] == 2.0
 
     def test_nodes_reproduce_samples_exactly(self):
         g = TimeGrid(T=1.0, steps=4)
         samples = np.arange(5.0).reshape(5, 1, 1)
         for k, t in enumerate(g.times()):
-            assert coeff_at(samples, t, g)[0, 0] == samples[k, 0, 0]
+            assert coeff_on(samples, t, g)[0, 0] == samples[k, 0, 0]
 
     def test_linear_between_nodes(self):
         g = TimeGrid(T=1.0, steps=2)
         samples = np.array([0.0, 2.0, 6.0]).reshape(3, 1, 1)
-        assert coeff_at(samples, 0.25, g)[0, 0] == pytest.approx(1.0)
-        assert coeff_at(samples, 0.75, g)[0, 0] == pytest.approx(4.0)
+        assert coeff_on(samples, 0.25, g)[0, 0] == pytest.approx(1.0)
+        assert coeff_on(samples, 0.75, g)[0, 0] == pytest.approx(4.0)
 
     def test_sample_count_fixes_spacing(self):
         # samples laid out on a coarser grid still interpolate correctly
@@ -81,8 +83,8 @@ class TestCoeffAt:
         coarse = TimeGrid(T=1.0, steps=2)
         fine = coarse.refined(2)
         samples = np.array([0.0, 2.0, 6.0]).reshape(3, 1, 1)
-        assert coeff_at(samples, 0.5, fine)[0, 0] == pytest.approx(2.0)
-        assert coeff_at(samples, 0.75, fine)[0, 0] == pytest.approx(4.0)
+        assert coeff_on(samples, 0.5, fine)[0, 0] == pytest.approx(2.0)
+        assert coeff_on(samples, 0.75, fine)[0, 0] == pytest.approx(4.0)
 
 
 class TestStateSpace:
@@ -103,7 +105,7 @@ class TestStateSpace:
         g = TimeGrid(T=1.0, steps=4)
         asamp = np.linspace(0.0, 1.0, 5).reshape(5, 1, 1)
         sys = StateSpace(A=asamp, B=[[1.0]])
-        a, b = sys.ab_at(0.5, g)
+        a, b = coeff_on(sys.A, 0.5, g), coeff_on(sys.B, 0.5, g)
         assert a[0, 0] == pytest.approx(0.5)
         assert b[0, 0] == 1.0
 
@@ -282,18 +284,18 @@ class TestAssembleQuadform:
         spec = ProblemSpec(sys=sys, grid=TimeGrid(T=1.0, steps=10),
                            variant=BoundedReal(gamma=2.0))
         qf = assemble_quadform(spec)
-        np.testing.assert_allclose(qf.at(0.0), [[-1.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_allclose(qf.Qmat, [[-1.0, 0.0], [0.0, 4.0]])
 
     def test_positive_real_example(self):
         sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
         spec = ProblemSpec(sys=sys, grid=TimeGrid(T=1.0, steps=10),
                            variant=PositiveReal())
         qf = assemble_quadform(spec)
-        np.testing.assert_allclose(qf.at(0.5), [[0.0, 0.5], [0.5, 1.0]])
+        np.testing.assert_allclose(qf.Qmat, [[0.0, 0.5], [0.5, 1.0]])
 
     def test_lqr_identity(self):
         qf = assemble_quadform(scalar_lqr_spec())
-        np.testing.assert_allclose(qf.at(0.0), np.eye(2))
+        np.testing.assert_allclose(qf.Qmat, np.eye(2))
 
     def test_r_block_not_pd_rejected(self):
         sys = StateSpace(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[-1.0]])
@@ -305,7 +307,7 @@ class TestAssembleQuadform:
 
     def test_output_symmetric(self):
         qf = assemble_quadform(scalar_lqr_spec())
-        m = qf.at(0.25)
+        m = qf.Qmat
         np.testing.assert_allclose(m, m.T)
 
 

@@ -1,5 +1,5 @@
-"""Symmetric-matrix primitives: inner products, dual norms, factorization,
-rank counting, Schur complements, orthogonality certificates.
+"""Symmetric-matrix primitives: inner products, dual norms and their
+maximizer, factorization, rank counting.
 
 Ground truth throughout: numpy.linalg eigenvalue routines and hand-computed
 small cases.
@@ -10,14 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqconic import (
-    M22NotPDError,
     NotPSDError,
     SymFactor,
     SymMat,
     eps_rank,
     nuclear_norm,
-    orthogonality_certificate,
-    schur_psd_test,
     sigma_max_norm,
     sym_factor,
     trace_duality_maximizer,
@@ -183,68 +180,6 @@ class TestEpsRank:
     def test_relative_threshold(self):
         # both eigenvalues huge: neither is dropped by the relative cut
         assert eps_rank(np.diag([1e12, 1e4]), tol=1e-9) == 2
-
-
-class TestSchurPsdTest:
-    def test_complement_positive(self):
-        assert schur_psd_test([[2.0]], [[1.0]], [[1.0]]) is True
-
-    def test_complement_negative(self):
-        assert schur_psd_test([[0.5]], [[1.0]], [[1.0]]) is False
-
-    def test_m22_not_pd(self):
-        with pytest.raises(M22NotPDError):
-            schur_psd_test([[1.0]], [[0.0]], [[0.0]])
-
-    def test_agrees_with_direct_eigen_200(self):
-        rng = np.random.default_rng(5)
-        agree = 0
-        for _ in range(200):
-            m11 = random_sym(rng, 4)
-            m12 = rng.standard_normal((4, 2))
-            base = rng.standard_normal((2, 3))
-            m22 = base @ base.T + 0.1 * np.eye(2)
-            verdict = schur_psd_test(m11, m12, m22)
-            full = np.block([[m11, m12], [m12.T, m22]])
-            direct = np.linalg.eigvalsh(full).min() >= -1e-9 * max(
-                1.0, np.abs(full).max())
-            agree += verdict == direct
-        assert agree == 200
-
-
-class TestOrthogonalityCertificate:
-    def test_disjoint_diagonal(self):
-        rep = orthogonality_certificate(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert rep.orthogonal and rep.tested
-        assert rep.cross_max <= 1e-9
-        assert rep.rank1 + rep.rank2 == 2
-        assert rep.rank_sum_ok
-
-    def test_identical_identity_skips_assertions(self):
-        rep = orthogonality_certificate(np.eye(2), np.eye(2))
-        assert rep.inner == pytest.approx(2.0)
-        assert not rep.orthogonal
-        assert not rep.tested
-
-    def test_orthogonal_outer_products(self):
-        z = np.array([1.0, 1.0, 0.0])
-        w = np.array([1.0, -1.0, 0.0])
-        rep = orthogonality_certificate(np.outer(z, z), np.outer(w, w))
-        assert rep.orthogonal and rep.cross_ok and rep.rank_sum_ok
-        assert rep.rank1 + rep.rank2 == 2
-
-    def test_not_psd_rejected(self):
-        with pytest.raises(NotPSDError):
-            orthogonality_certificate(np.diag([1.0, -1.0]), np.eye(2))
-
-    def test_random_orthogonal_pairs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-            m1 = q[:, :2] @ np.diag(rng.uniform(0.5, 2.0, 2)) @ q[:, :2].T
-            m2 = q[:, 2:4] @ np.diag(rng.uniform(0.5, 2.0, 2)) @ q[:, 2:4].T
-            rep = orthogonality_certificate(m1, m2)
-            assert rep.orthogonal and rep.cross_ok and rep.rank_sum_ok
 
 
 sym3 = st.lists(
