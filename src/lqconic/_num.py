@@ -62,28 +62,38 @@ def propagate(generator, y0: np.ndarray, grid, backward: bool = False):
     return out
 
 
-def propagate_lyapunov(f, w, s0: np.ndarray, grid, backward: bool = False):
-    """Node values of S' = F S + S F^T + W from the symmetric s0: `propagate`
-    on the flow of [vec S; 1] (row-major vec), whose matrix is
-    [[F (x) I + I (x) F, vec W], [0, 0]], with F = f(t) and W = w(t) at a
-    batch of times. Symmetrized once, at the end."""
+def propagate_lyapunov(f, w, s0: np.ndarray, grid, q=None,
+                       backward: bool = False):
+    """Node values of S' = F S + S F^T + W from the symmetric s0 and of
+    c' = tr(Q S) from 0: `propagate` on the flow of [vech S; c; 1], vech S
+    being the p = n(n+1)/2 upper-triangle entries, whose matrix is
+    [[L(F), 0, vech W], [vec(Q) D, 0, 0], 0] with L(F) S = F S + S F^T and
+    D: vech S -> vec S. f, w and q give F, W and Q at a batch of times."""
     n = s0.shape[-1]
-    e = np.eye(n)
-    # F (x) I + I (x) F is linear in F: vec F times a 0/1/2 matrix
-    kron = (np.einsum("ai,bk,jl->abijkl", e, e, e)
-            + np.einsum("aj,bl,ik->abijkl", e, e, e)).reshape(n * n, -1)
+    iu, ju = np.triu_indices(n)
+    p = iu.size
+    dup = np.zeros((n, n, p))
+    dup[iu, ju, np.arange(p)] = dup[ju, iu, np.arange(p)] = 1.0
+    # L(F) is linear in F: vec F times a fixed 0/1/2 matrix
+    lin = (np.einsum("ua,vac->uvac", np.eye(n)[:, iu], dup[:, ju])
+           + np.einsum("ua,avc->uvac", np.eye(n)[:, ju], dup[iu])).reshape(
+               n * n, -1)
+    dup = dup.reshape(n * n, p)
 
     def generator(t):
-        ft, wt = np.broadcast_arrays(f(t), w(t))
-        g = np.zeros(ft.shape[:-2] + (n * n + 1, n * n + 1))
-        g[..., :-1, :-1] = (ft.reshape(-1, n * n) @ kron).reshape(
-            g[..., :-1, :-1].shape)
-        g[..., :-1, -1] = wt.reshape(g[..., :-1, -1].shape)
+        ft, wt, qt = (None if c is None else c(t) for c in (f, w, q))
+        g = np.zeros(np.broadcast_shapes(*(c.shape[:-2] for c in (
+            ft, wt, qt) if c is not None)) + (p + 2, p + 2))
+        g[..., :p, :p] = (ft.reshape(-1, n * n) @ lin).reshape(
+            ft.shape[:-2] + (p, p))
+        if wt is not None:
+            g[..., :p, -1] = wt[..., iu, ju]
+        if qt is not None:
+            g[..., p, :p] = qt.reshape(qt.shape[:-2] + (n * n,)) @ dup
         return g
 
-    y = propagate(generator, np.append(s0.reshape(-1), 1.0), grid, backward)
-    s = y[:, :-1].reshape(-1, n, n)
-    return 0.5 * (s + s.swapaxes(-1, -2))
+    y = propagate(generator, np.r_[s0[iu, ju], 0.0, 1.0], grid, backward)
+    return (y[:, :p] @ dup.T).reshape(-1, n, n), y[:, p]
 
 
 def trapz(values: np.ndarray, h: float):

@@ -21,10 +21,8 @@ from typing import List, Optional
 import numpy as np
 
 from ._num import node_blocks
-from .covariance import (Gain, alignment_residual, closed_loop_simulate,
-                         deterministic_covariance, descriptor_residual,
-                         gain_from_dual, primal_objective,
-                         stochastic_covariance)
+from .covariance import (Gain, alignment_residual, descriptor_residual,
+                         gain_from_dual, stochastic_covariance)
 from .dlmi import dual_objective
 from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     ProblemSpec, StateSpace, StochLQR, TimeGrid,
@@ -141,23 +139,15 @@ class VerificationReport:
 
 
 def _primal_side(spec: ProblemSpec, qf, lam: MatTrajectory, gain: Gain):
-    """Dual value of lam, then the gain's primal trajectory (covariance from
-    X_i and W, else the closed loop from x_i, or from rest for the gain and
-    passivity tests), its descriptor residual and its value under the
-    quadratic form qf."""
-    sys, grid, var = spec.sys, spec.grid, spec.variant
-    if isinstance(var, StochLQR):
-        dual = dual_objective(lam, X_i=var.X_i, W=var.W)
-        sigma = stochastic_covariance(sys, gain, var.W, var.X_i, grid)
-        desc = descriptor_residual(sigma, sys, W=var.W)
-    else:
-        x_i = var.x_i if isinstance(var, (LQR, GeneralIQC)) else np.zeros(sys.n)
-        dual = dual_objective(lam, x_i=x_i)
-        x, u = closed_loop_simulate(sys, gain, x_i, grid)
-        sigma = deterministic_covariance(x, u, grid)
-        desc = descriptor_residual(sigma, sys)
-    primal = primal_objective(sigma, qf)
-    return dual, sigma, desc, primal
+    """Dual value of lam, then the gain's closed-loop second moment (one
+    flow from S(0) = X_i under W, x_i x_i^T without noise, or rest for the
+    gain and passivity tests), its descriptor residual and its cost."""
+    sys, var = spec.sys, spec.variant
+    x_i = getattr(var, "x_i", np.zeros(sys.n))
+    s0, w = getattr(var, "X_i", np.outer(x_i, x_i)), getattr(var, "W", None)
+    dual = dual_objective(lam, X_i=s0, W=w)
+    sigma, primal = stochastic_covariance(sys, gain, w, s0, spec.grid, qf)
+    return dual, sigma, descriptor_residual(sigma, sys, W=w), primal
 
 
 def _certify_finite(spec: ProblemSpec, cost: CostData, dre: DreSolution,
@@ -264,10 +254,13 @@ def hinf_norm_bisection(sys: StateSpace, T: float, steps: int = DEFAULT_STEPS,
     boundedness test passes at the top and fails at the bottom, then halved
     until it is no wider than tol or its midpoint no longer lies strictly
     inside it (the ends are adjacent floats, so a tol below their spacing
-    returns a wider bracket). A zero output map short-circuits to norm zero.
+    returns a wider bracket). Data that pass validate with a zero output
+    map short-circuit to norm zero.
     """
     _check_tol(tol)
-    if sys.C is None or sys.C.size == 0 or not np.any(sys.C):
+    validate(ProblemSpec(sys=sys, grid=TimeGrid(T=T, steps=steps),
+                         variant=BoundedReal(gamma=1.0)))
+    if not np.any(sys.C):
         return NormResult(gamma_star=0.0, iterations=0, bracket=(0.0, 0.0))
 
     def ok(g: float) -> bool:

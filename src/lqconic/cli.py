@@ -265,7 +265,7 @@ def _gain_payload(gain):
     return {
         "m": int(k.shape[1]),
         "n": int(k.shape[2]),
-        "nodes": [[float(v) for v in node.ravel()] for node in k],
+        "nodes": k.reshape(k.shape[0], -1).tolist(),
     }
 
 

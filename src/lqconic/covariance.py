@@ -2,18 +2,21 @@
 objective and residual evaluation, and a Monte Carlo cost oracle.
 
 The primal variable is a PSD-valued function Sigma(t) of size (n+m) pairing
-state and input. Deterministic runs produce the rank-one outer product of
-the stacked signal [x; u]; stochastic runs propagate the closed-loop
-state covariance and complete the blocks through the feedback law. A primal
+state and input. The analyzers build it one way: the closed-loop second
+moment of the state from X_i, or from x_i x_i^T (the outer product of the
+deterministic case) without noise, completed through the feedback law and
+carrying its cost as one more state (`stochastic_covariance`). A primal
 trajectory certifies optimality when it satisfies the descriptor dynamics
-and is aligned (trace-orthogonal) with the dual's residual matrix.
+and is aligned (trace-orthogonal) with the dual's residual matrix. No
+analyzer calls `closed_loop_simulate`, `deterministic_covariance` or
+`primal_objective`; they check that flow independently.
 
-Per-node work (gain solves, covariance assembly, quadratures, residuals,
-and the closed-loop matrix A - BK at the RK4 stage times) is done with numpy
-over the node axis, in fixed blocks of NODE_BLOCK nodes so that peak memory
-stays bounded. Both forward propagations are linear flows: `_num` builds
+Per-node work (gain solves, quadratures, residuals, and the closed-loop
+matrix A - BK at the RK4 stage times) is done with numpy over the node
+axis, in fixed blocks of NODE_BLOCK nodes so that peak memory stays
+bounded; the covariance is assembled in one product no larger than it. Both forward propagations are linear flows: `_num` builds
 their RK4 step maps a block at a time and applies them node by node (the
-second moment as the flow of [vec S; 1]).
+second moment and its cost as the flow of [vech S; c; 1]).
 """
 
 from __future__ import annotations
@@ -122,34 +125,43 @@ def deterministic_covariance(x, u, grid: TimeGrid) -> MatTrajectory:
 
 
 def stochastic_covariance(sys: StateSpace, gain: Gain, W, X_i,
-                          grid: TimeGrid) -> MatTrajectory:
-    """Forward closed-loop second-moment propagation.
+                          grid: TimeGrid, quadform: QuadForm):
+    """Forward closed-loop second moment and its cost under quadform.
 
-    The state block solves dS/dt = (A-BK) S + S (A-BK)^T + W from X_i; the
-    cross and input blocks follow from u = -Kx as S_xu = -S K^T and
-    S_uu = K S K^T, so the full matrix is [I; -K] S [I; -K]^T and stays PSD.
+    S solves dS/dt = (A-BK) S + S (A-BK)^T + W from X_i (W None: no noise)
+    and u = -Kx completes Sigma = [I; -K] S [I; -K]^T, which stays PSD. The
+    cost, the integral of tr(Q_cl S) with Q_cl = [I; -K]^T QF [I; -K], is
+    one more state of the RK4 flow, so it is fourth order like S (the gain
+    is linear between nodes: every kink of the integrand is on a node). A
+    zero payload gives zero without integrating. Returns (Sigma, cost).
     """
-    n, m = sys.n, gain.m
-    w = as_matrix(W)
+    n, nm = sys.n, sys.n + gain.m
+    w = None if W is None else as_matrix(W)
     xi = np.asarray(X_i, dtype=float).reshape(n, n)
+    if not xi.any() and (w is None or not w.any()):
+        return MatTrajectory(grid, np.zeros((grid.steps + 1, nm, nm))), 0.0
 
-    sxx = propagate_lyapunov(_closed_loop(sys, gain, grid),
-                             lambda t: coeff_on(w, t, grid),
-                             0.5 * (xi + xi.T), grid)
-    values = np.empty((grid.steps + 1, n + m, n + m))
-    for block in node_blocks(grid.steps + 1):
-        kk, s = gain.K[block], sxx[block]
-        cross = -s @ kk.swapaxes(-1, -2)
-        values[block, :n, :n] = s
-        values[block, :n, n:] = cross
-        values[block, n:, :n] = cross.swapaxes(-1, -2)
-        values[block, n:, n:] = kk @ s @ kk.swapaxes(-1, -2)
-    return MatTrajectory(grid, values)
+    def lift(k):  # [I; -K] of a stack of gains
+        eye = np.broadcast_to(np.eye(n), k.shape[:-2] + (n, n))
+        return np.concatenate([eye, -k], axis=-2)
+
+    def closed_cost(t):
+        ik = lift(coeff_on(gain.K, t, gain.grid))
+        return ik.swapaxes(-1, -2) @ coeff_on(quadform.Qmat, t,
+                                              quadform.grid) @ ik
+
+    sxx, cost = propagate_lyapunov(
+        _closed_loop(sys, gain, grid),
+        None if w is None else (lambda t: coeff_on(w, t, grid)),
+        0.5 * (xi + xi.T), grid, q=closed_cost)
+    ik = lift(gain.K)
+    return MatTrajectory(grid, ik @ sxx @ ik.swapaxes(-1, -2)), float(cost[-1])
 
 
 def primal_objective(sigma: MatTrajectory, quadform: QuadForm) -> float:
     """End-corrected trapezoid quadrature (`_num.trapz`) of the trace
-    pairing of the stacked cost with the covariance trajectory."""
+    pairing of the stacked cost with the covariance trajectory: second
+    order for a gain linear between nodes, whose kinks sit on the nodes."""
     if quadform.grid != sigma.grid:
         raise ValueError("covariance and quadratic form use different grids")
     times = sigma.grid.times()
@@ -170,9 +182,7 @@ def descriptor_residual(sigma: MatTrajectory, sys: StateSpace,
     grid = sigma.grid
     n = sys.n
     sdot = fd_derivative(sigma.values, grid.h)
-    w = None
-    if W is not None:
-        w = as_matrix(W)
+    w = None if W is None else as_matrix(W)
     times = grid.times()
     worst = 0.0
     for block in node_blocks(grid.steps - 1):

@@ -461,9 +461,9 @@ def solve_lyapunov_final(F, H, X_T, grid: TimeGrid) -> MatTrajectory:
     X_T = 0 and H PSD the solution is PSD for all t.
     """
     g, hc, xt = -as_matrix(F).swapaxes(-1, -2), as_matrix(H), as_matrix(X_T)
-    values = propagate_lyapunov(lambda t: coeff_on(g, t, grid),
-                                lambda t: -coeff_on(hc, t, grid),
-                                0.5 * (xt + xt.T), grid, backward=True)
+    values, _ = propagate_lyapunov(lambda t: coeff_on(g, t, grid),
+                                   lambda t: -coeff_on(hc, t, grid),
+                                   0.5 * (xt + xt.T), grid, backward=True)
     return MatTrajectory(grid, values)
 
 

@@ -180,6 +180,29 @@ class TestIqcInfimum:
             cert = iqc_infimum(spec)
             assert (cert.optimal_value is not None) != cert.minus_infinity
 
+    @pytest.mark.parametrize("sampled", [False, True],
+                             ids=["constant", "node-sampled"])
+    def test_gap_is_fourth_order(self, sampled):
+        # n = 3, indefinite Q (eigenvalues -1.18, 0.09, 1.22), T = 2; the
+        # sampled case scales A and B along the grid. The primal cost is a
+        # state of the RK4 flow, so primal - dual falls about 16x per
+        # halving of the step
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 2))
+        q = rng.uniform(-1, 1, (3, 3))
+        cost = CostData(Q=0.5 * (q + q.T), N=None, R=np.eye(2))
+        gaps = []
+        for steps in (64, 128, 256):
+            s = np.linspace(0.0, 1.0, steps + 1)[:, None, None]
+            sys_ = StateSpace(A=a * (1 + 0.5 * np.sin(3 * s)),
+                              B=b * (1 + 0.3 * np.cos(5 * s))) if sampled \
+                else StateSpace(A=a, B=b)
+            cert = analyze(ProblemSpec(
+                sys=sys_, grid=TimeGrid(T=2.0, steps=steps),
+                variant=GeneralIQC(cost=cost, x_i=[1.0, -0.5, 0.3])))
+            gaps.append(abs(cert.duality_gap))
+        assert gaps[0] >= 12.0 * gaps[1] and gaps[1] >= 12.0 * gaps[2]
+
 
 class TestBoundedReal:
     SYS1 = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
@@ -221,6 +244,22 @@ class TestBoundedReal:
         sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[0.0]])
         res = hinf_norm_bisection(sys, T=5.0)
         assert res.gamma_star == 0.0
+
+    # a zero output map does not excuse bad data: each is rejected before
+    # the shortcut to norm zero
+    @pytest.mark.parametrize("data, T, steps, error, code", [
+        (dict(A=[[np.nan]], B=[[1.0]], C=[[0.0]]), 1.0, 64,
+         ValidationError, "NonFinite"),
+        (dict(A=[[-1.0]], B=[[1.0]], C=[[0.0]]), -1.0, 64, ValueError, None),
+        (dict(A=[[-1.0]], B=[[1.0]], C=[[0.0]]), np.nan, 0, ValueError, None),
+        (dict(A=[[-1.0]], B=[[1.0]], C=[[0.0]], D=[[5.0]]), 1.0, 64,
+         ValidationError, "DNotZero"),
+    ], ids=["nan-A", "negative-T", "nan-T-zero-steps", "nonzero-D"])
+    def test_zero_output_data_checked(self, data, T, steps, error, code):
+        with pytest.raises(error) as info:
+            hinf_norm_bisection(StateSpace(**data), T=T, steps=steps)
+        if code is not None:
+            assert [v.code for v in info.value.violations] == [code]
 
     def test_norm_grows_with_horizon(self):
         vals = [hinf_norm_bisection(self.SYS1, T=T, steps=256, tol=1e-3).gamma_star

@@ -135,19 +135,29 @@ def ref_closed_loop(sys, gain, x0, grid):
     return x, np.stack([-gain.K[k] @ x[k] for k in range(len(x))])
 
 
-def ref_stochastic(sys, gain, W, X_i, grid):
-    def f(t, s):
-        a, b = ab_at(sys, t, grid)
-        fcl = a - b @ coeff_at(gain.K, t, gain.grid)
-        return fcl @ s + s @ fcl.T + coeff_at(W, t, grid)
+def ref_stochastic(sys, gain, W, X_i, grid, qf):
+    """Sigma and its cost: RK4 of the block-diagonal state diag(S, c) with
+    c' = tr(Q_cl S), Q_cl = [I; -K]^T QF [I; -K]."""
+    n = sys.n
 
-    sxx = ref_rk4(f, 0.5 * (X_i + X_i.T), grid, sym=True)
+    def f(t, y):
+        a, b = ab_at(sys, t, grid)
+        kk = coeff_at(gain.K, t, gain.grid)
+        fcl, lift = a - b @ kk, np.vstack([np.eye(n), -kk])
+        s, out = y[:n, :n], np.zeros_like(y)
+        out[:n, :n] = fcl @ s + s @ fcl.T + coeff_at(W, t, grid)
+        out[n, n] = np.sum(lift.T @ coeff_at(qf.Qmat, t, qf.grid) @ lift * s)
+        return out
+
+    y0 = np.zeros((n + 1, n + 1))
+    y0[:n, :n] = 0.5 * (X_i + X_i.T)
+    y = ref_rk4(f, y0, grid, sym=True)
     blocks = []
-    for k, s in enumerate(sxx):
+    for k, s in enumerate(y[:, :n, :n]):
         kk = gain.K[k]
         cross = -s @ kk.T
         blocks.append(np.block([[s, cross], [cross.T, kk @ s @ kk.T]]))
-    return np.stack(blocks)
+    return np.stack(blocks), y[-1, n, n]
 
 
 def ref_primal(sig, qf):
@@ -304,8 +314,8 @@ class Problem:
         x, u = closed_loop_simulate(self.sys, self.gain, self.x_i, self.grid)
         self.x, self.u = x, u
         self.det = deterministic_covariance(x, u, self.grid)
-        self.stoch = stochastic_covariance(self.sys, self.gain, self.W,
-                                           self.X_i, self.grid)
+        self.stoch, self.cost_value = stochastic_covariance(
+            self.sys, self.gain, self.W, self.X_i, self.grid, self.qf)
 
 
 @pytest.fixture(scope="module", params=KINDS)
@@ -340,7 +350,7 @@ class TestStagesMatchLoops:
         assert_close(got, want)
 
     def test_second_moments_exactly_symmetric(self, prob):
-        # the [vec S; 1] flows are symmetrized once, after the last step
+        # the [vech S; c; 1] flows store one triangle and mirror it
         n = prob.sys.n
         sxx = prob.stoch.values[:, :n, :n]
         lyap = solve_lyapunov_final(prob.sys.A, prob.W, prob.X_i,
@@ -371,9 +381,10 @@ class TestStagesMatchLoops:
         assert_close(prob.u, u)
 
     def test_stochastic_covariance(self, prob):
-        assert_close(prob.stoch.values,
-                     ref_stochastic(prob.sys, prob.gain, prob.W, prob.X_i,
-                                    prob.grid))
+        values, cost = ref_stochastic(prob.sys, prob.gain, prob.W, prob.X_i,
+                                      prob.grid, prob.qf)
+        assert_close(prob.stoch.values, values)
+        assert_close(prob.cost_value, cost)
 
     @pytest.mark.parametrize("side", ["det", "stoch"])
     def test_primal_and_descriptor(self, prob, side):

@@ -623,6 +623,18 @@ class TestVerifyCommand:
         assert "escape_confirmed" in out
         assert out.strip().endswith("PASS")
 
+    @pytest.mark.parametrize("steps", [64, 128, 256])
+    def test_finite_iqc_verifies_on_coarse_grids(self, tmp_path, capsys,
+                                                 steps):
+        # a = 0, b = 1, q = -1, r = 1 on T = 1 is finite (-tan 1); the
+        # primal cost is fourth order, so weak duality holds on coarse grids
+        ppath, rpath, rc0 = self._solve(
+            tmp_path, capsys, iqc_doc(T=1.0, steps=steps), cmd="iqc")
+        assert rc0 == 0
+        rc, out, _ = run(capsys, ["verify", ppath, rpath])
+        assert rc == 0
+        assert "ok   weak_duality" in out
+
     @pytest.mark.parametrize("cmd,doc,flags", [
         ("lqr", lqr_doc(steps=128), ["--T", "2"]),
         ("iqc", iqc_doc(steps=128), ["--T", "3"]),

@@ -119,22 +119,39 @@ class TestDeterministicCovariance:
 
 class TestStochasticCovariance:
     def test_no_noise_no_state(self):
-        grid = TimeGrid(T=1.0, steps=32)
+        grid, qf, _ = scalar_setup(steps=32)
         g = Gain(grid, np.zeros((1, 1)))
-        sig = stochastic_covariance(SYS, g, [[0.0]], [[0.0]], grid)
+        sig, cost = stochastic_covariance(SYS, g, [[0.0]], [[0.0]], grid, qf)
         assert np.abs(sig.values).max() == 0.0
+        assert cost == 0.0
+
+    def test_zero_payload_not_integrated(self, monkeypatch):
+        # the gain and passivity tests start at rest without noise
+        from lqconic import covariance
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a zero payload was integrated")
+
+        monkeypatch.setattr(covariance, "propagate_lyapunov", fail)
+        grid, qf, dre = scalar_setup(steps=32)
+        gain = gain_from_dual(dre.lam, SYS, COST)
+        sig, cost = stochastic_covariance(SYS, gain, None, [[0.0]], grid, qf)
+        assert sig.values.shape == (33, 2, 2)
+        assert not sig.values.any() and cost == 0.0
 
     def test_pure_diffusion_linear_growth(self):
-        grid = TimeGrid(T=1.0, steps=64)
+        # S(t) = t with Q_cl = 1: the cost is the integral of t, 1/2
+        grid, qf, _ = scalar_setup(steps=64)
         g = Gain(grid, np.zeros((1, 1)))
-        sig = stochastic_covariance(SYS, g, [[1.0]], [[0.0]], grid)
+        sig, cost = stochastic_covariance(SYS, g, [[1.0]], [[0.0]], grid, qf)
         t = grid.times()
         np.testing.assert_allclose(sig.values[:, 0, 0], t, atol=1e-10)
+        assert cost == pytest.approx(0.5, abs=1e-12)
 
     def test_block_structure(self):
         grid, qf, dre = scalar_setup(steps=64)
         gain = gain_from_dual(dre.lam, SYS, COST)
-        sig = stochastic_covariance(SYS, gain, [[1.0]], [[1.0]], grid)
+        sig, _ = stochastic_covariance(SYS, gain, [[1.0]], [[1.0]], grid, qf)
         for k in (0, 32, 64):
             s = sig.node(k)
             kk = gain.K[k, 0, 0]
@@ -144,9 +161,44 @@ class TestStochasticCovariance:
     def test_psd_along_trajectory(self):
         grid, qf, dre = scalar_setup(steps=64)
         gain = gain_from_dual(dre.lam, SYS, COST)
-        sig = stochastic_covariance(SYS, gain, [[1.0]], [[2.0]], grid)
+        sig, _ = stochastic_covariance(SYS, gain, [[1.0]], [[2.0]], grid, qf)
         eigs = np.linalg.eigvalsh(sig.values)
         assert eigs.min() >= -1e-12
+
+    def test_outer_product_payload_is_the_closed_loop(self):
+        # S(0) = x_i x_i^T without noise is the deterministic run: the outer
+        # product of the closed loop, and the cost of the optimal gain is
+        # the optimal value tanh(1), to the flow's fourth order
+        grid, qf, dre = scalar_setup()
+        gain = gain_from_dual(dre.lam, SYS, COST)
+        sig, cost = stochastic_covariance(SYS, gain, None, [[1.0]], grid, qf)
+        x, u = closed_loop_simulate(SYS, gain, [1.0], grid)
+        np.testing.assert_allclose(
+            sig.values, deterministic_covariance(x, u, grid).values,
+            rtol=0.0, atol=1e-12)
+        assert cost == pytest.approx(np.tanh(1.0), abs=1e-12)
+
+    def test_half_vector_state(self, monkeypatch):
+        # n = 4: the flow carries vech S (10 entries), c and 1
+        from lqconic import _num
+        sizes = []
+        propagate = _num.propagate
+
+        def spy(generator, y0, grid, backward=False):
+            sizes.append(y0.size)
+            return propagate(generator, y0, grid, backward)
+
+        monkeypatch.setattr(_num, "propagate", spy)
+        n = 4
+        sys4 = StateSpace(A=np.eye(n), B=np.ones((n, 1)))
+        grid = TimeGrid(T=1.0, steps=8)
+        spec = ProblemSpec(sys=sys4, grid=grid, variant=LQR(
+            cost=CostData(Q=np.eye(n), N=None, R=[[1.0]]), x_i=np.ones(n)))
+        sig, _ = stochastic_covariance(sys4, Gain(grid, np.ones((1, n))),
+                                       None, np.eye(n), grid,
+                                       assemble_quadform(spec))
+        assert sizes == [12]
+        assert np.array_equal(sig.values, sig.values.swapaxes(-1, -2))
 
 
 class TestPrimalObjective:
@@ -195,7 +247,8 @@ class TestDescriptorResidual:
     def test_stochastic_needs_noise_term(self):
         grid = TimeGrid(T=1.0, steps=64)
         g = Gain(grid, np.zeros((1, 1)))
-        sig = stochastic_covariance(SYS, g, [[1.0]], [[0.0]], grid)
+        sig, _ = stochastic_covariance(SYS, g, [[1.0]], [[0.0]], grid,
+                                       scalar_setup(steps=64)[1])
         with_w = descriptor_residual(sig, SYS, W=[[1.0]])
         without = descriptor_residual(sig, SYS)
         assert with_w <= 1e-10
