@@ -24,8 +24,8 @@ from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     ProblemSpec, QuadForm, StateSpace, StochLQR, TimeGrid,
                     ValidationError, apply_A_adj, apply_Aop, apply_E,
                     apply_E_adj, assemble_quadform, effective_cost, validate)
-from .riccati import (DreSolution, DriSample, LoewnerVerdict, MatTrajectory,
-                      loewner_compare, solve_dre_final, solve_lyapunov_final)
+from .riccati import (DreSolution, DriSample, MatTrajectory, solve_dre_final,
+                      solve_lyapunov_final)
 from .symmat import (M22NotPDError, NotPSDError, SymFactor, SymMat, eps_rank,
                      nuclear_norm, sigma_max_norm, sym_factor,
                      trace_duality_maximizer, trace_inner)
@@ -41,8 +41,8 @@ __all__ = [
     "LQR", "StochLQR", "BoundedReal", "PositiveReal", "GeneralIQC",
     "ValidationError", "validate", "effective_cost", "assemble_quadform",
     "apply_E", "apply_Aop", "apply_E_adj", "apply_A_adj",
-    "MatTrajectory", "DreSolution", "DriSample", "LoewnerVerdict",
-    "solve_lyapunov_final", "solve_dre_final", "loewner_compare",
+    "MatTrajectory", "DreSolution", "DriSample",
+    "solve_lyapunov_final", "solve_dre_final",
     "DlmiCertificate", "ResidualTooLarge", "assemble_M", "feasibility",
     "extremal_factorization", "lure_residuals", "dual_objective",
     "Gain", "gain_from_dual",

@@ -1,6 +1,6 @@
-"""Small shared numerics: the one RK4 integrator (the step map of a linear
-flow) and the linear propagations built on it, trapezoid quadrature, finite
-differences, and the fixed node blocks that node-axis work runs in."""
+"""Small shared numerics: the one RK4 integrator (the maps of a run of steps
+of a linear flow, scanned by their prefix products) and the propagations on
+it, trapezoid quadrature, finite differences, and the fixed node blocks."""
 
 from __future__ import annotations
 
@@ -10,6 +10,11 @@ import numpy as np
 # tables) runs in blocks of this many nodes, so its temporaries stay bounded
 # however long the grid is.
 NODE_BLOCK = 256
+# Steps per block of a linear-flow scan: a block applies prefix products of
+# its step maps, whose norm grows with the time the block spans, so the
+# blocks stay short (see the growth guards in tests/test_batched.py). A
+# divisor of NODE_BLOCK, the steps whose maps are built at once.
+SCAN_STEPS = 64
 
 
 def node_blocks(count: int, size: int = NODE_BLOCK):
@@ -40,26 +45,52 @@ def rk4_map(stages, dt) -> np.ndarray:
     return eye + (dt / 6.0) * (f1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def run_maps(generator, t, dt, shift=None) -> np.ndarray:
+    """`rk4_map` of each step between the nodes t (axis 0, spaced dt: a
+    number, or one per trailing entry of t), or one map for all steps if
+    generator(t), F at a batch of times, returns one matrix. The generator
+    is read once, at every node and midpoint; shift, if given, is added to
+    F at all three stages of a step."""
+    k = t.shape[0] - 1
+    f = generator(np.concatenate([t, t[:-1] + 0.5 * dt]))
+    stages = [f] * 3 if f.ndim == 2 else [f[:k], f[k + 1:], f[1:k + 1]]
+    return rk4_map(stages if shift is None else [s + shift for s in stages],
+                   dt)
+
+
+def prefix_products(m: np.ndarray) -> np.ndarray:
+    """Prefix products P_j = M_j ... M_1 of step maps stacked along axis -3,
+    by a Hillis-Steele scan (log2 of the count of batched matmuls). P_j
+    depends only on M_1 .. M_j, so the leading products of a longer run
+    equal those of a shorter one bitwise."""
+    p = np.array(m)
+    span = 1
+    while span < p.shape[-3]:
+        p[..., span:, :, :] = np.matmul(p[..., span:, :, :],
+                                        p[..., :-span, :, :])
+        span *= 2
+    return p
+
+
 def propagate(generator, y0: np.ndarray, grid, backward: bool = False):
     """RK4 of the linear flow y' = F(t) y across the grid from y0 at t = 0
     (t = T when backward); generator(t) gives F at a batch of times. Each
-    NODE_BLOCK of steps gets its maps in one batched call, then y <- M y
-    node by node. Returns the node values."""
-    steps, times = grid.steps, grid.times()
+    NODE_BLOCK of steps gets its maps from `run_maps`, and each SCAN_STEPS
+    of them carry y across at once: y_j = P_j y_0 with the prefix products
+    P_j of their maps. Returns the node values."""
+    times, dt = grid.times(), grid.h
     if backward:
-        order, dt, move = np.arange(steps, 0, -1), -grid.h, -1
-    else:
-        order, dt, move = np.arange(steps), grid.h, 1
-    out = np.empty((steps + 1,) + np.shape(y0))
-    out[order[0]] = y0
-    for block in node_blocks(steps):
-        ks = order[block]
-        t = times[ks]
-        maps = rk4_map([generator(s) for s in (t, t + 0.5 * dt, t + dt)], dt)
-        maps = np.broadcast_to(maps, ks.shape + maps.shape[-2:])
-        for k, m in zip(ks.tolist(), maps):
-            out[k + move] = m @ out[k]
-    return out
+        times, dt = times[::-1], -dt
+    ys = np.empty((grid.steps + 1,) + np.shape(y0))  # in the order stepped
+    ys[0] = y0
+    for run in node_blocks(grid.steps):
+        maps = run_maps(generator, times[run.start:run.stop + 1], dt)
+        maps = np.broadcast_to(maps, (run.stop - run.start,) + maps.shape[-2:])
+        for block in node_blocks(maps.shape[0], SCAN_STEPS):
+            j = run.start + block.start
+            ys[j + 1:run.start + block.stop + 1] = \
+                prefix_products(maps[block]) @ ys[j]
+    return ys[::-1] if backward else ys
 
 
 def propagate_lyapunov(f, w, s0: np.ndarray, grid, q=None,

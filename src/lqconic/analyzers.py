@@ -328,8 +328,8 @@ def scalar_preset(q_sign: int, m_sign: int, T: float = 2.0,
 def _worst_margin(values: np.ndarray) -> Optional[float]:
     """Smallest eigenvalue of values[0] - values[i] over every sample i >= 1
     and every node where both are valid (None if there is none): the
-    loewner_compare margin of the first trajectory over each of the others,
-    minimized. One eigvalsh takes a node block of at most COMPARE_BLOCK
+    least semidefinite-order margin of the first trajectory over each of
+    the others. One eigvalsh takes a node block of at most COMPARE_BLOCK
     (sample, node) pairs, which bounds the temporaries."""
     size = max(1, COMPARE_BLOCK // max(1, values.shape[0] - 1))
     worst = None

@@ -14,9 +14,9 @@ analyzer calls `closed_loop_simulate`, `deterministic_covariance` or
 Per-node work (gain solves, quadratures, residuals, and the closed-loop
 matrix A - BK at the RK4 stage times) is done with numpy over the node
 axis, in fixed blocks of NODE_BLOCK nodes so that peak memory stays
-bounded; the covariance is assembled in one product no larger than it. Both forward propagations are linear flows: `_num` builds
-their RK4 step maps a block at a time and applies them node by node (the
-second moment and its cost as the flow of [vech S; c; 1]).
+bounded; the covariance is assembled in one product no larger than it. Both
+forward propagations are linear flows (the second moment and its cost as the
+flow of [vech S; c; 1]) that `_num` scans as it scans the Riccati sweep.
 """
 
 from __future__ import annotations

@@ -219,24 +219,14 @@ def lure_residuals(lam, lam_dot, U1, U2, sys: StateSpace, cost,
     return r1, r2, r3
 
 
-def dual_objective(lam: MatTrajectory, x_i=None, X_i=None, W=None) -> float:
-    """Value certified by a dual trajectory.
-
-    Deterministic payload x_i gives x_i^T Lam(0) x_i. Stochastic payload
-    gives tr(Lam(0) X_i) plus the end-corrected trapezoid quadrature of
-    tr(Lam(t) W(t)).
+def dual_objective(lam: MatTrajectory, X_i=None, W=None) -> float:
+    """Value certified by a dual trajectory: tr(Lam(0) X_i) plus the
+    end-corrected trapezoid quadrature of tr(Lam(t) W(t)). A deterministic
+    initial state x_i is the payload X_i = x_i x_i^T.
     """
-    if x_i is not None and (X_i is not None or W is not None):
-        raise ValueError("pass either a deterministic x_i or stochastic X_i/W")
     lam0 = lam.node(0)
     if not np.isfinite(lam0).all():
         raise ValueError("trajectory has no valid value at t=0")
-
-    if x_i is not None:
-        x = np.asarray(x_i, dtype=float).reshape(-1)
-        if x.size != lam.n:
-            raise ValueError(f"x_i has {x.size} entries, expected {lam.n}")
-        return float(x @ lam0 @ x)
 
     total = 0.0
     if X_i is not None:
@@ -252,6 +242,6 @@ def dual_objective(lam: MatTrajectory, x_i=None, X_i=None, W=None) -> float:
             prod = lam.values[block] @ coeff_on(w, times[block], lam.grid)
             vals[block] = np.trace(prod, axis1=1, axis2=2)
         total += trapz(vals, lam.grid.h)
-    if x_i is None and X_i is None and W is None:
+    if X_i is None and W is None:
         raise ValueError("no payload given")
     return total

@@ -310,13 +310,17 @@ def validate(spec: ProblemSpec) -> None:
 
     Raises ValidationError carrying per-field diagnostics; returns None when
     the spec is well posed. Non-finite data is rejected first, with code
-    NonFinite.
+    NonFinite; a grid of one step (too few nodes for the certificate's
+    finite differences) with code TooFewSteps.
     """
     non_finite = _non_finite(spec)
     if non_finite:
         raise ValidationError(non_finite)
     out = []
     sys, grid, var = spec.sys, spec.grid, spec.variant
+    if grid.steps < 2:
+        out.append(Violation("grid.steps", "TooFewSteps",
+                             f"need at least 2 steps, got {grid.steps}"))
     for name, coeff in (("system.A", sys.A), ("system.B", sys.B),
                         ("system.C", sys.C), ("system.D", sys.D)):
         _check_sampled_length(coeff, name, grid, out)

@@ -8,15 +8,12 @@ on a uniform grid. H=0 gives the Riccati equation whose final-value
 solution is the maximal solution of the matching differential matrix
 inequality; H is a positive semidefinite forcing used to sample the
 inequality's other solutions. By Radon's lemma the flow is the Moebius
-image Lam = Y X^{-1} of a linear (Hamiltonian) flow of [X; Y]; each
-backward step has the RK4 map M of that flow (built batched by
-`_num.rk4_map`). Because the flow is linear, a run of steps needs no visit
-per node: the sweep takes SCAN_STEPS steps per block, and within a block
-that starts from Lam_0 the prefix products P_j = M_j ... M_1 (a
-Hillis-Steele scan, or for constant unforced data the powers of the one
-map, built once per sweep) give [X_j; Y_j] = P_j [I; Lam_0] and
-Lam_j = Y_j X_j^{-1} in one batched solve. The products grow with the time
-a block spans, which is why the blocks stay short.
+image Lam = Y X^{-1} of a linear (Hamiltonian) flow of [X; Y], scanned
+like the primal flows by `_num`: the RK4 maps M of a run of steps come from
+`run_maps`, and within a block of SCAN_STEPS that starts from Lam_0 the
+prefix products P_j = M_j ... M_1 (for constant unforced data the powers
+of the one map, built once per sweep) give [X_j; Y_j] = P_j [I; Lam_0] and
+Lam_j = Y_j X_j^{-1} in one batched solve.
 
 Solutions may escape in finite time: escape is an outcome, not an error,
 and it is where a step's denominator D_j = X_j X_{j-1}^{-1} =
@@ -31,10 +28,11 @@ one vectorized bisection. The block layout depends only on the grid, and
 samples run in fixed chunks, so each sample's values and escape time are
 those of a sweep of that sample alone.
 
-Node-sampled coefficients are tabulated at the RK4 stage times one block of
-NODE_BLOCK steps at a time, not interpolated and inverted at every stage;
-the finite-difference residual sweep evaluates the Riccati operator along
-the node axis in the same blocks, which bounds its temporaries.
+Node-sampled coefficients are tabulated at the nodes and midpoints of a
+run of NODE_BLOCK steps (of a block, if forced: a forcing is constant on a
+step and adds to F at its three stages); the finite-difference residual
+sweep evaluates the Riccati operator along the node axis in the same
+blocks, which bounds its temporaries.
 
 R may be positive or negative definite (it only needs to be invertible with
 fixed sign); the regulator-level validation is stricter.
@@ -47,26 +45,20 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import (NODE_BLOCK, as_matrix, fd_derivative, node_blocks,
-                   propagate_lyapunov, rk4_map)
+from ._num import (NODE_BLOCK, SCAN_STEPS, as_matrix, fd_derivative,
+                   node_blocks, prefix_products, propagate_lyapunov, rk4_map,
+                   run_maps)
 from .model import CostData, StateSpace, TimeGrid, coeff_on
 
 __all__ = [
     "MatTrajectory",
     "DreSolution",
     "DriSample",
-    "LoewnerVerdict",
     "solve_lyapunov_final",
     "solve_dre_final",
-    "loewner_compare",
     "forcing_amplitude",
 ]
 
-# Steps per block of the Riccati sweep. A block applies prefix products of
-# its step maps, whose norm grows with the time the block spans, so the
-# blocks stay short (see the growth guard in tests/test_batched.py). A
-# divisor of NODE_BLOCK, the steps whose maps sampled data builds at once.
-SCAN_STEPS = 64
 # Samples per chunk of a block, which bounds its (chunk, SCAN_STEPS, 2n, 2n)
 # temporaries however many samples a sweep carries.
 SAMPLE_CHUNK = 16
@@ -152,26 +144,6 @@ def _ric_rhs(data, lam: np.ndarray) -> np.ndarray:
     return quad - lin - lin.swapaxes(-1, -2) - Q
 
 
-def _hamiltonian(data, forcing=0.0) -> np.ndarray:
-    """Matrix F of the linear flow d/dt [X; Y] = F [X; Y] whose solutions
-    give the forced Riccati flow as Lam = Y X^{-1} (Radon's lemma):
-
-        F = [[A - B R^{-1} N^T,         -B R^{-1} B^T        ],
-             [-(Q - N R^{-1} N^T - H),  -(A^T - N R^{-1} B^T)]].
-
-    Stacks in the data and in the forcing H broadcast against each other.
-    """
-    At, B, Q, N, Rinv = data
-    BRi, NRi = np.matmul(B, Rinv), np.matmul(N, Rinv)
-    Bt, Nt = B.swapaxes(-1, -2), N.swapaxes(-1, -2)
-    blocks = np.broadcast_arrays(At.swapaxes(-1, -2) - np.matmul(BRi, Nt),
-                                 -np.matmul(BRi, Bt),
-                                 np.matmul(NRi, Nt) - Q + forcing,
-                                 np.matmul(NRi, Bt) - At)
-    return np.concatenate([np.concatenate(blocks[:2], axis=-1),
-                           np.concatenate(blocks[2:], axis=-1)], axis=-2)
-
-
 class _RicFlow:
     """Riccati right-hand-side data of a system and cost, tabulated on
     demand at batches of times."""
@@ -186,23 +158,30 @@ class _RicFlow:
             self._data = _ric_data(sys.A, sys.B, cost.Q, cost.N, cost.R)
 
     def table(self, times):
-        """Data at each of the given times, stacked along a leading axis
-        (constant coefficients stay single matrices)."""
+        """Data at each of the given times, stacked along leading axes of
+        their shape (constant coefficients stay single matrices)."""
         if self.const:
             return self._data
         g = self.grid
         return _ric_data(*(coeff_on(c, times, g) for c in (
             self.sys.A, self.sys.B, self.cost.Q, self.cost.N, self.cost.R)))
 
+    def hamiltonian(self, times):
+        """Matrix F of the linear flow d/dt [X; Y] = F [X; Y] whose solutions
+        give the Riccati flow as Lam = Y X^{-1} (Radon's lemma), at the
+        given times (the generator `run_maps` reads):
 
-def _step_maps(flow: _RicFlow, t, dt, forcing=0.0) -> np.ndarray:
-    """RK4 maps M, [X; Y](t + dt) = M [X; Y](t), of the Hamiltonian flow
-    over steps of size dt (a number, or one per time) from the times t, one
-    per time (for sampled data) and per forcing value broadcast against."""
-    if flow.const:  # one Hamiltonian serves all three stage times
-        return rk4_map([_hamiltonian(flow.table(t), forcing)] * 3, dt)
-    return rk4_map([_hamiltonian(flow.table(s), forcing)
-                    for s in (t, t + 0.5 * dt, t + dt)], dt)
+            F = [[A - B R^{-1} N^T,      -B R^{-1} B^T        ],
+                 [-(Q - N R^{-1} N^T),  -(A^T - N R^{-1} B^T)]].
+        """
+        At, B, Q, N, Rinv = self.table(times)
+        BRi, NRi = np.matmul(B, Rinv), np.matmul(N, Rinv)
+        Bt, Nt = B.swapaxes(-1, -2), N.swapaxes(-1, -2)
+        blocks = np.broadcast_arrays(
+            At.swapaxes(-1, -2) - np.matmul(BRi, Nt), -np.matmul(BRi, Bt),
+            np.matmul(NRi, Nt) - Q, np.matmul(NRi, Bt) - At)
+        return np.concatenate([np.concatenate(blocks[:2], axis=-1),
+                               np.concatenate(blocks[2:], axis=-1)], axis=-2)
 
 
 def _past_singular(d: np.ndarray) -> np.ndarray:
@@ -225,42 +204,31 @@ def _past_singular(d: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _refine_escape(flow, t_good, y_good, h, forcing):
+def _refine_escape(flow, t_good, y_good, h, shift):
     """Bisect, per sample, the size of the backward step from its last good
     node at which the step's denominator first turns singular.
 
-    t_good (E,), y_good (E, n, n) and forcing ((E, n, n) or 0) hold each
-    escaped sample's last good node and the forcing of the step it failed.
-    All samples bisect together until no bracket splits; returns (E,) times.
+    t_good (E,), y_good (E, n, n) and shift ((E, 2n, 2n) or None) hold each
+    escaped sample's last good node and what the forcing of the step it
+    failed adds to F. All samples bisect together until no bracket splits;
+    returns (E,) times.
     """
     n = y_good.shape[-1]
     lo, hi = np.zeros(t_good.shape), np.full(t_good.shape, h)
     if flow.const:  # the Hamiltonian does not depend on the step
-        stages = [_hamiltonian(flow.table(t_good), forcing)] * 3
+        f = flow.hamiltonian(None)
+        stages = [f if shift is None else f + shift] * 3
     while True:
         mid = 0.5 * (lo + hi)
         split = (mid != lo) & (mid != hi)
         if not split.any():
             return t_good - mid
-        m = rk4_map(stages, -mid) if flow.const else \
-            _step_maps(flow, t_good, -mid, forcing)
+        m = rk4_map(stages, -mid) if flow.const else run_maps(
+            flow.hamiltonian, np.stack([t_good, t_good - mid]), -mid,
+            shift)[0]
         over = _past_singular(m[:, :n, :n] + np.matmul(m[:, :n, n:], y_good))
         hi = np.where(split & over, mid, hi)
         lo = np.where(split & ~over, mid, lo)
-
-
-def _prefix_products(m: np.ndarray) -> np.ndarray:
-    """Prefix products P_j = M_j ... M_1 of step maps stacked along axis -3,
-    by a Hillis-Steele scan (log2 of the count of batched matmuls). P_j
-    depends only on M_1 .. M_j, so the leading products of a longer run
-    equal those of a shorter one bitwise."""
-    p = np.array(m)
-    span = 1
-    while span < p.shape[-3]:
-        p[..., span:, :, :] = np.matmul(p[..., span:, :, :],
-                                        p[..., :-span, :, :])
-        span *= 2
-    return p
 
 
 def _scan_block(m, p, y):
@@ -319,37 +287,41 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, forcing=None):
     values = np.full((s, k_steps + 1, n, n), np.nan)
     escape_time = np.full(s, np.nan)
     last_good = np.full(s, -1)  # node each escaped sample last reached
-    step_order = np.arange(k_steps, 0, -1)  # step k runs from node k to k-1
     forced = forcing is not None
-    hvals, interval = forcing if forced else (0.0, None)
+    shift, interval = None, None
+    if forced:  # a forcing H adds [[0, 0], [H, 0]] to F
+        shift = np.pad(forcing[0], [(0, 0), (0, 0), (n, 0), (0, n)])
+        interval = forcing[1]
+    rev = times[::-1]  # rev[j]: the node j steps back from T
     if flow.const:
-        maps = _step_maps(flow, times[-1], -h, hvals)
+        maps = run_maps(flow.hamiltonian, rev[:2], -h, shift)
         if not forced:
-            powers = _prefix_products(np.repeat(
+            powers = prefix_products(np.repeat(
                 maps[None], min(SCAN_STEPS, k_steps), axis=0))
 
     y = 0.5 * (lam0 + lam0.transpose(0, 2, 1))
     values[:, k_steps] = y
     live = np.arange(s)
     for block in node_blocks(k_steps, SCAN_STEPS):
-        ks = step_order[block]
+        ks = k_steps - np.arange(block.start, block.stop)  # step k: k -> k-1
         if not forced and flow.const:
             m, p = maps, powers[:ks.size]
         elif not forced:
             # maps are built NODE_BLOCK steps at a time (a whole number of
             # blocks), which amortizes tabulating the coefficients
             if block.start % NODE_BLOCK == 0:
-                maps = _step_maps(flow, times[step_order[
-                    block.start:block.start + NODE_BLOCK]], -h)
+                maps = run_maps(flow.hamiltonian, rev[
+                    block.start:block.start + NODE_BLOCK + 1], -h)
             m = maps[block.start % NODE_BLOCK:][:ks.size]
-            p = _prefix_products(m)
+            p = prefix_products(m)
         for chunk in node_blocks(live.size, SAMPLE_CHUNK):
             idx = live[chunk]
             if forced:
                 pick = (idx[:, None], interval[ks - 1])
-                m = maps[pick] if flow.const else \
-                    _step_maps(flow, times[ks], -h, hvals[pick])
-                p = _prefix_products(m)
+                m = maps[pick] if flow.const else run_maps(
+                    flow.hamiltonian, rev[block.start:block.stop + 1], -h,
+                    shift[pick])
+                p = prefix_products(m)
             lam, good = _scan_block(m, p, y[idx])
             values[idx[:, None], ks - 1] = np.where(good[..., None, None],
                                                     lam, np.nan)
@@ -366,7 +338,7 @@ def _sweep(flow: _RicFlow, lam0: np.ndarray, grid: TimeGrid, forcing=None):
         idx, k = np.nonzero(escaped)[0], last_good[escaped]
         escape_time[idx] = _refine_escape(
             flow, times[k], values[idx, k], h,
-            hvals[idx, interval[k - 1]] if forced else 0.0)
+            shift[idx, interval[k - 1]] if forced else None)
     return values, escaped, escape_time
 
 
@@ -465,45 +437,3 @@ def solve_lyapunov_final(F, H, X_T, grid: TimeGrid) -> MatTrajectory:
                                    lambda t: -coeff_on(hc, t, grid),
                                    0.5 * (xt + xt.T), grid, backward=True)
     return MatTrajectory(grid, values)
-
-
-@dataclass(frozen=True)
-class LoewnerVerdict:
-    """Nodewise semidefinite-order comparison of two trajectories."""
-
-    a_ge_b: bool
-    b_ge_a: bool
-    verdict: str           # "both", "a_ge_b", "b_ge_a", "incomparable"
-    margin_ab: float       # min over shared nodes of min-eig(a - b)
-    margin_ba: float
-    shared_nodes: int
-
-
-def loewner_compare(a: MatTrajectory, b: MatTrajectory,
-                    tol: float = 1e-9) -> LoewnerVerdict:
-    """Compare two trajectories in the semidefinite order at every node both
-    have valid samples."""
-    if a.grid != b.grid or a.n != b.n:
-        raise ValueError("trajectories must share grid and dimension")
-    shared = a.valid_mask() & b.valid_mask()
-    count = int(np.count_nonzero(shared))
-    if count == 0:
-        return LoewnerVerdict(False, False, "incomparable",
-                              float("nan"), float("nan"), 0)
-    diff = a.values[shared] - b.values[shared]
-    diff = 0.5 * (diff + diff.transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(diff)
-    margin_ab = float(eigs[:, 0].min())
-    margin_ba = float((-eigs[:, -1]).min())
-    a_ge = margin_ab >= -tol
-    b_ge = margin_ba >= -tol
-    if a_ge and b_ge:
-        verdict = "both"
-    elif a_ge:
-        verdict = "a_ge_b"
-    elif b_ge:
-        verdict = "b_ge_a"
-    else:
-        verdict = "incomparable"
-    return LoewnerVerdict(a_ge, b_ge, verdict, margin_ab, margin_ba, count)
-

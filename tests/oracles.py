@@ -9,8 +9,12 @@ zero-order-hold inputs, dense stacked quadratic programs. Fine for the
 small instances the tests use (a few states, tens of steps). The one
 time-varying piece is `coeff_at`, the scalar interpolation of a
 node-sampled coefficient that the library's batched evaluator is tested
-against and that the per-node reference loops read.
+against and that the per-node reference loops read. `loewner_compare`,
+one eigendecomposition per shared node of two trajectories, is the
+reference for the batched comparison of `dri_cloud`.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -35,6 +39,46 @@ def coeff_at(coeff, t, grid):
     if w >= 1.0 - 1e-12:
         return coeff[k + 1]
     return (1.0 - w) * coeff[k] + w * coeff[k + 1]
+
+
+@dataclass(frozen=True)
+class LoewnerVerdict:
+    """Nodewise semidefinite-order comparison of two trajectories."""
+
+    a_ge_b: bool
+    b_ge_a: bool
+    verdict: str           # "both", "a_ge_b", "b_ge_a", "incomparable"
+    margin_ab: float       # min over shared nodes of min-eig(a - b)
+    margin_ba: float
+    shared_nodes: int
+
+
+def loewner_compare(a, b, tol: float = 1e-9) -> LoewnerVerdict:
+    """Compare two trajectories (`MatTrajectory`) in the semidefinite order
+    at every node both have valid samples."""
+    if a.grid != b.grid or a.n != b.n:
+        raise ValueError("trajectories must share grid and dimension")
+    shared = a.valid_mask() & b.valid_mask()
+    count = int(np.count_nonzero(shared))
+    if count == 0:
+        return LoewnerVerdict(False, False, "incomparable",
+                              float("nan"), float("nan"), 0)
+    diff = a.values[shared] - b.values[shared]
+    diff = 0.5 * (diff + diff.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh(diff)
+    margin_ab = float(eigs[:, 0].min())
+    margin_ba = float((-eigs[:, -1]).min())
+    a_ge = margin_ab >= -tol
+    b_ge = margin_ba >= -tol
+    if a_ge and b_ge:
+        verdict = "both"
+    elif a_ge:
+        verdict = "a_ge_b"
+    elif b_ge:
+        verdict = "b_ge_a"
+    else:
+        verdict = "incomparable"
+    return LoewnerVerdict(a_ge, b_ge, verdict, margin_ab, margin_ba, count)
 
 
 def zoh_pair(a, b, h):

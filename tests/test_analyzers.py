@@ -37,7 +37,8 @@ from lqconic import (
 
 from lqconic import riccati
 from lqconic.analyzers import _worst_margin, analyze
-from oracles import convolution_norm, passivity_form_min_eig, zoh_qp_value
+from oracles import (convolution_norm, loewner_compare,
+                     passivity_form_min_eig, zoh_qp_value)
 
 SYS = StateSpace(A=[[0.0]], B=[[1.0]])
 COST = CostData(Q=[[1.0]], N=None, R=[[1.0]])
@@ -254,7 +255,10 @@ class TestBoundedReal:
         (dict(A=[[-1.0]], B=[[1.0]], C=[[0.0]]), np.nan, 0, ValueError, None),
         (dict(A=[[-1.0]], B=[[1.0]], C=[[0.0]], D=[[5.0]]), 1.0, 64,
          ValidationError, "DNotZero"),
-    ], ids=["nan-A", "negative-T", "nan-T-zero-steps", "nonzero-D"])
+        (dict(A=[[-1.0]], B=[[1.0]], C=[[0.0]]), 1.0, 1, ValidationError,
+         "TooFewSteps"),
+    ], ids=["nan-A", "negative-T", "nan-T-zero-steps", "nonzero-D",
+            "one-step"])
     def test_zero_output_data_checked(self, data, T, steps, error, code):
         with pytest.raises(error) as info:
             hinf_norm_bisection(StateSpace(**data), T=T, steps=steps)
@@ -499,8 +503,8 @@ class TestDriCloud:
         values[7] = np.nan
         values[0, 150:160] = np.nan
         first = riccati.MatTrajectory(grid, values[0])
-        margins = [riccati.loewner_compare(
-            first, riccati.MatTrajectory(grid, v)) for v in values[1:]]
+        margins = [loewner_compare(first, riccati.MatTrajectory(grid, v))
+                   for v in values[1:]]
         assert _worst_margin(values) == min(
             c.margin_ab for c in margins if c.shared_nodes)
         values[0] = np.nan

@@ -4,14 +4,17 @@ sample-batched escape refinement against its per-sample bisection.
 The certificate stages (DLMI feasibility, gain, quadratures, residual
 sweeps) evaluate along the node axis in blocks of NODE_BLOCK nodes, with
 coefficients tabulated by coeff_on; the forward and backward propagations
-build the RK4 maps of their linear flows a block at a time and apply them
-node by node. The loops below are the reference: one node at a time, every
-coefficient read by the scalar interpolator oracles.coeff_at (the
-independent reference that coeff_on is tested against bitwise), each RK4
-step taken on the state itself.
-Grids have 2 * NODE_BLOCK + 3 steps, so a partial tail block is covered,
-and the coefficients are constant, node-sampled, or sampled on a grid and
-evaluated on its 2x refinement (as verify_solution does).
+build the RK4 maps of their linear flows a run at a time, reading the
+generator once per node and midpoint, and carry the state across each
+block of SCAN_STEPS steps at once by the prefix products of its maps (the
+scan the Riccati sweep uses). The loops below are the reference: one node
+at a time, every coefficient read by the scalar interpolator
+oracles.coeff_at (the independent reference that coeff_on is tested
+against bitwise), each RK4 step taken on the state itself. Grids have
+2 * NODE_BLOCK + 3 steps, so a partial tail block is covered, and the
+coefficients are constant, node-sampled, or sampled on a grid and
+evaluated on its 2x refinement (as verify_solution does). The
+propagations also hold over an unstable flow whose state grows to 1e17.
 
 The Riccati sweep takes blocks of SCAN_STEPS steps: prefix products of
 the block's RK4 maps of the Hamiltonian flow carry [I; Lam] across the
@@ -20,17 +23,18 @@ reference builds each step's map from coefficients read by
 oracles.coeff_at and applies it as a Moebius update one node at a time.
 The two agree to rounding across block edges, with escapes at either end
 of a block and in the partial tail block, and over blocks whose products
-grow. The sweep
-refines the escapes of all its samples in one vectorized bisection after
-the sweep; the reference bisects one sample at a time from its last good
-state, on the unscreened denominator test, and must give the same escape
-times bitwise.
+grow. The sweep refines the escapes of all its samples in one vectorized
+bisection after the sweep; the reference bisects one sample at a time
+from its last good state, with each step's three RK4 stages read
+separately and the unscreened denominator test, and must give the same
+escape times bitwise.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lqconic._num import NODE_BLOCK, fd_derivative, trapz
+from lqconic._num import (NODE_BLOCK, SCAN_STEPS, fd_derivative, node_blocks,
+                          propagate, propagate_lyapunov, rk4_map, trapz)
 from lqconic.covariance import (alignment_residual,
                                 closed_loop_simulate,
                                 deterministic_covariance, descriptor_residual,
@@ -39,10 +43,8 @@ from lqconic.covariance import (alignment_residual,
 from lqconic.dlmi import dual_objective, feasibility
 from lqconic.model import (CostData, ProblemSpec, StateSpace, StochLQR,
                            TimeGrid, apply_Aop, assemble_quadform, coeff_on)
-from lqconic._num import propagate, rk4_map
-from lqconic.riccati import (SAMPLE_CHUNK, SCAN_STEPS, _operator_blocks,
-                             _residual_sweep, _RicFlow, _step_intervals,
-                             _step_maps, _sweep, draw_forcing,
+from lqconic.riccati import (SAMPLE_CHUNK, _operator_blocks, _residual_sweep,
+                             _RicFlow, _step_intervals, _sweep, draw_forcing,
                              solve_dre_final, solve_lyapunov_final,
                              switch_bounds)
 from oracles import coeff_at
@@ -211,6 +213,16 @@ def ref_hamiltonian(t, sys, cost, grid, forcing=0.0):
          nmat @ ri @ b.T - a.T]])
 
 
+def ref_rk4_map(f1, f2, f4, dt):
+    """The classical RK4 step of y' = F y as a map, from F at the start,
+    middle and end of the step."""
+    eye = np.eye(f1.shape[0])
+    k2 = f2 @ (eye + (0.5 * dt) * f1)
+    k3 = f2 @ (eye + (0.5 * dt) * k2)
+    k4 = f4 @ (eye + dt * k3)
+    return eye + (dt / 6.0) * (f1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def ref_sweep(sys, cost, grid, lam0=None, forcing=0.0):
     """Backward Riccati sweep from lam0 (zero by default) under a constant
     forcing matrix: per step the RK4 map of the Hamiltonian flow,
@@ -219,19 +231,13 @@ def ref_sweep(sys, cost, grid, lam0=None, forcing=0.0):
     a nonpositive determinant or real eigenvalue (an escape) on, the nodes
     hold NaN."""
     n = sys.n
-    eye = np.eye(2 * n)
     times = grid.times()
     out = np.full((grid.steps + 1, n, n), np.nan)
     out[-1] = 0.0 if lam0 is None else lam0
     for k in range(grid.steps, 0, -1):
         t, lam, dt = times[k], out[k], -grid.h
-        f1, f2, f4 = (ref_hamiltonian(s, sys, cost, grid, forcing)
-                      for s in (t, t + 0.5 * dt, t + dt))
-        k1 = f1
-        k2 = f2 @ (eye + (0.5 * dt) * k1)
-        k3 = f2 @ (eye + (0.5 * dt) * k2)
-        k4 = f4 @ (eye + dt * k3)
-        m = eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        m = ref_rk4_map(*(ref_hamiltonian(s, sys, cost, grid, forcing)
+                          for s in (t, t + 0.5 * dt, t + dt)), dt)
         d = m[:n, :n] + m[:n, n:] @ lam
         ev = np.linalg.eigvals(d)
         if not np.linalg.det(d) > 0 or \
@@ -627,6 +633,96 @@ def test_block_growth_guard(kind):
     assert_close(values[0], ref_sweep(sys, cost, grid))
 
 
+def unstable_flow():
+    """A node-sampled flow with eigenvalues of positive real part over
+    T = 30 with 1024 steps (a block of SCAN_STEPS spans 1.875 time units):
+    the state grows to about 1e17."""
+    rng = np.random.default_rng(6)
+    grid = TimeGrid(T=30.0, steps=1024)
+    a = rng.uniform(-1.0, 1.0, (3, 3)) + 0.6 * np.eye(3)
+    wave = 1.0 + 0.3 * np.sin(7.0 * np.linspace(0.0, 1.0, 1025))
+    return a * wave[:, None, None], grid
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_propagation_growth_guard(backward):
+    # the primal propagations apply prefix products of SCAN_STEPS maps;
+    # forward from t = 0 under F, W and Q, or backward from t = T under
+    # -F, -W and -Q (in reversed time s = T - t the same flow as forward,
+    # which the oracle steps), they stay at the per-step reference's
+    # accuracy while the state grows
+    f, grid = unstable_flow()
+    w = np.diag([1.0, 2.0, 0.5])
+    sign = -1.0 if backward else 1.0
+
+    def at(t):
+        return coeff_at(f, grid.T - t if backward else t, grid)
+
+    def flip(values):
+        return values[::-1] if backward else values
+
+    x0 = np.array([1.0, -0.5, 0.25])
+    want = ref_rk4(lambda t, x: at(t) @ x, x0, grid)
+    got = propagate(lambda t: sign * coeff_on(f, t, grid), x0, grid, backward)
+    assert np.abs(want).max() > 1e12
+    assert_close(flip(got), want)
+
+    def lyap(t, y):  # S' = F S + S F^T + W and c' = tr(Q S), Q = I
+        out = np.zeros_like(y)
+        out[:3, :3] = at(t) @ y[:3, :3] + y[:3, :3] @ at(t).T + w
+        out[3, 3] = np.trace(y[:3, :3])
+        return out
+
+    y0 = np.zeros((4, 4))
+    y0[:3, :3] = np.eye(3)
+    want = ref_rk4(lyap, y0, grid, sym=True)
+    s, c = propagate_lyapunov(lambda t: sign * coeff_on(f, t, grid),
+                              lambda t: sign * w, np.eye(3), grid,
+                              q=lambda t: sign * np.eye(3), backward=backward)
+    assert_close(flip(s), want[:, :3, :3])
+    assert_close(flip(c), want[:, 3, 3])
+
+
+class TestGeneratorReads:
+    """A run of K steps reads its generator once at each of its K + 1 nodes
+    and K midpoints, 2K + 1 times, where three RK4 stages per step read it
+    3K times; each NODE_BLOCK of steps is one run, whose first node is the
+    last of the run before."""
+
+    @staticmethod
+    def spy(calls, read):
+        def wrapped(*args):
+            calls.append(np.array(args[-1], dtype=float).ravel())
+            return read(*args)
+        return wrapped
+
+    def check(self, calls, steps, runs):
+        times = np.concatenate(calls)
+        assert np.unique(times).size == 2 * steps + 1
+        assert times.size == 2 * steps + runs
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_primal(self, backward):
+        prob, calls = Problem("sampled"), []
+        grid = prob.grid
+        propagate(self.spy(calls, lambda t: coeff_on(prob.sys.A, t, grid)),
+                  np.ones(prob.sys.n), grid, backward)
+        self.check(calls, STEPS, len(node_blocks(STEPS)))
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_riccati(self, monkeypatch, forced):
+        prob, calls = Problem("sampled"), []
+        monkeypatch.setattr(_RicFlow, "table", self.spy(calls, _RicFlow.table))
+        forcing = (np.full((1, 1, 3, 3), 0.1), np.zeros(STEPS, dtype=int)) \
+            if forced else None
+        _, escaped, _ = _sweep(_RicFlow(prob.sys, prob.cost, prob.grid),
+                               np.zeros((1, 3, 3)), prob.grid, forcing)
+        assert not escaped[0]
+        # a forced sample's maps are built per block of the scan
+        self.check(calls, STEPS, len(node_blocks(
+            STEPS, SCAN_STEPS if forced else NODE_BLOCK)))
+
+
 # ---------------------------------------------------------------------------
 # escape refinement
 
@@ -637,6 +733,8 @@ def ref_refine_escape(flow, t_good, y_good, h, forcing):
     until the bracket stops splitting; returns the escape time and the
     bisection steps taken."""
     n = y_good.shape[-1]
+    shift = np.zeros((2 * n, 2 * n))
+    shift[n:, :n] = forcing[0]  # a forcing H adds [[0, 0], [H, 0]] to F
     lo, hi = 0.0, h
     taken = 0
     while True:
@@ -644,8 +742,11 @@ def ref_refine_escape(flow, t_good, y_good, h, forcing):
         if mid == lo or mid == hi:
             break
         taken += 1
-        m = _step_maps(flow, np.array([t_good]), np.array([-mid]), forcing)
-        d = (m[:, :n, :n] + np.matmul(m[:, :n, n:], y_good))[0]
+        dt = -mid
+        m = ref_rk4_map(*(flow.hamiltonian(s) + shift
+                          for s in (t_good, t_good + 0.5 * dt, t_good + dt)),
+                        dt)
+        d = m[:n, :n] + m[:n, n:] @ y_good[0]
         ev = np.linalg.eigvals(d)
         if not np.linalg.det(d) > 0 or \
                 ((ev.imag == 0) & (ev.real <= 0)).any():

@@ -291,6 +291,14 @@ class TestExitCodes:
         assert res["kind"] == "certificate"
         assert abs(res["optimal_value"] - TANH1) < 1e-4
 
+    def test_one_step_grid_is_input_error(self, tmp_path, capsys):
+        # the grid's field and code are named; the certificate's finite
+        # differences used to raise "need at least 3 nodes" instead
+        rc, out, err = run(capsys, ["lqr",
+                                    write_doc(tmp_path, lqr_doc(steps=1))])
+        assert rc == 1 and out == ""
+        assert "grid.steps: [TooFewSteps]" in err
+
     def test_missing_file(self, tmp_path, capsys):
         rc, _, err = run(capsys, ["lqr", str(tmp_path / "nope.json")])
         assert rc == 1

@@ -213,7 +213,7 @@ class TestPrimalObjective:
         gain = gain_from_dual(dre.lam, SYS, COST)
         x, u = closed_loop_simulate(SYS, gain, [1.0], grid)
         primal = primal_objective(deterministic_covariance(x, u, grid), qf)
-        dual = dual_objective(dre.lam, x_i=[1.0])
+        dual = dual_objective(dre.lam, X_i=[[1.0]])
         assert primal == pytest.approx(dual, abs=1e-5)
         assert primal == pytest.approx(np.tanh(1.0), abs=1e-5)
 
@@ -283,7 +283,7 @@ class TestAlignmentResidual:
         x, u = closed_loop_simulate(SYS, zero, [1.0], grid)
         sig = deterministic_covariance(x, u, grid)
         align = alignment_residual(sig, dre.lam, SYS, COST, qf)
-        gap = primal_objective(sig, qf) - dual_objective(dre.lam, x_i=[1.0])
+        gap = primal_objective(sig, qf) - dual_objective(dre.lam, X_i=[[1.0]])
         assert align == pytest.approx(gap, abs=1e-5)
         assert align > 0.2
 

@@ -323,7 +323,8 @@ class TestDualObjective:
         grid = TimeGrid(T=1.0, steps=4)
         vals = np.stack([np.diag([2.0, 3.0])] * 5)
         lam = MatTrajectory(grid, vals)
-        assert dual_objective(lam, x_i=[1.0, 1.0]) == pytest.approx(5.0)
+        x = np.ones(2)
+        assert dual_objective(lam, X_i=np.outer(x, x)) == pytest.approx(5.0)
 
     def test_stochastic_initial_covariance(self):
         grid = TimeGrid(T=1.0, steps=4)
@@ -338,23 +339,17 @@ class TestDualObjective:
         got = dual_objective(dre.lam, X_i=[[0.0]], W=[[1.0]])
         assert got == pytest.approx(np.log(np.cosh(1.0)), abs=1e-6)
 
-    def test_payload_exclusivity(self):
-        grid = TimeGrid(T=1.0, steps=4)
-        lam = MatTrajectory(grid, np.zeros((5, 1, 1)))
-        with pytest.raises(ValueError):
-            dual_objective(lam, x_i=[1.0], W=[[1.0]])
-
     def test_invalid_initial_node_rejected(self):
         grid = TimeGrid(T=1.0, steps=4)
         vals = np.zeros((5, 1, 1))
         vals[0] = np.nan
         lam = MatTrajectory(grid, vals)
         with pytest.raises(ValueError):
-            dual_objective(lam, x_i=[1.0])
+            dual_objective(lam, X_i=[[1.0]])
 
     def test_forced_sample_certifies_less(self):
         grid, qf = scalar_setup()
         dre = solve_dre_final(SYS, COST, [[0.0]], grid)
         s = forced_sample(grid, seed=2)
-        assert dual_objective(s.lam, x_i=[1.0]) <= \
-            dual_objective(dre.lam, x_i=[1.0]) + 1e-12
+        assert dual_objective(s.lam, X_i=[[1.0]]) <= \
+            dual_objective(dre.lam, X_i=[[1.0]]) + 1e-12

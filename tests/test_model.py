@@ -26,6 +26,7 @@ from lqconic import (
     trace_inner,
     validate,
 )
+from lqconic.analyzers import analyze
 from lqconic.model import coeff_on
 
 
@@ -193,6 +194,39 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             validate(spec)
         assert any(v.code == "BadSampleCount" for v in err.value.violations)
+
+
+def one_of_each_variant(steps):
+    """A well-posed spec of every variant on a grid of the given steps."""
+    cost = CostData(Q=[[1.0]], N=None, R=[[1.0]])
+    grid = TimeGrid(T=1.0, steps=steps)
+    plant = StateSpace(A=[[0.0]], B=[[1.0]])
+    return [
+        ProblemSpec(sys=plant, grid=grid, variant=LQR(cost=cost, x_i=[1.0])),
+        ProblemSpec(sys=plant, grid=grid, variant=StochLQR(
+            cost=cost, X_i=[[1.0]], W=[[1.0]])),
+        ProblemSpec(sys=plant, grid=grid, variant=GeneralIQC(
+            cost=cost, x_i=[1.0])),
+        ProblemSpec(sys=StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]]),
+                    grid=grid, variant=BoundedReal(gamma=2.0)),
+        ProblemSpec(sys=StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]],
+                                   D=[[1.0]]),
+                    grid=grid, variant=PositiveReal()),
+    ]
+
+
+@pytest.mark.parametrize("index", range(5), ids=[
+    "lqr", "stoch_lqr", "general_iqc", "bounded_real", "positive_real"])
+def test_one_step_grid_rejected(index):
+    # the certificate's finite differences need three nodes: one step is
+    # rejected by name for every variant, by validate and so by the
+    # analyzer (which used to fail inside the certificate), and two pass
+    for check in (validate, analyze):
+        with pytest.raises(ValidationError) as err:
+            check(one_of_each_variant(1)[index])
+        assert [(v.field, v.code) for v in err.value.violations] == \
+            [("grid.steps", "TooFewSteps")]
+    validate(one_of_each_variant(2)[index])
 
 
 class TestNonFinite:

@@ -55,7 +55,7 @@ _SPEC2 = ProblemSpec(sys=_SYS2, grid=_GRID2,
                      variant=LQR(cost=_COST2, x_i=_X0))
 _QF2 = assemble_quadform(_SPEC2)
 _DRE2 = solve_dre_final(_SYS2, _COST2, np.zeros((2, 2)), _GRID2)
-_DUAL2 = dual_objective(_DRE2.lam, x_i=_X0)
+_DUAL2 = dual_objective(_DRE2.lam, X_i=np.outer(_X0, _X0))
 
 
 class TestOperatorAdjointness:
@@ -228,8 +228,8 @@ class TestValueScaling:
         cost = CostData(Q=np.eye(1), N=None, R=np.eye(1))
         grid = TimeGrid(T=1.0, steps=96)
         lam = solve_dre_final(sys_, cost, np.zeros((1, 1)), grid).lam
-        base = dual_objective(lam, x_i=np.array([x0]))
-        scaled = dual_objective(lam, x_i=np.array([alpha * x0]))
+        base = dual_objective(lam, X_i=np.outer(x0, x0))
+        scaled = dual_objective(lam, X_i=np.outer(alpha * x0, alpha * x0))
         assert math.isclose(scaled, alpha ** 2 * base,
                             rel_tol=1e-12, abs_tol=1e-300)
 

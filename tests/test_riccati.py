@@ -14,7 +14,6 @@ from lqconic import (
     CostData,
     StateSpace,
     TimeGrid,
-    loewner_compare,
     solve_dre_final,
     solve_lyapunov_final,
 )
@@ -24,7 +23,7 @@ from lqconic.analyzers import dri_cloud, scalar_preset
 from lqconic.model import effective_cost
 from lqconic.riccati import draw_forcing, forcing_amplitude, switch_bounds
 
-from oracles import reference_dre
+from oracles import loewner_compare, reference_dre
 
 
 def scalar_system():
