@@ -26,8 +26,8 @@ from .covariance import (Gain, alignment_residual, descriptor_residual,
 from .dlmi import dual_objective
 from .model import (BoundedReal, CostData, GeneralIQC, LQR, PositiveReal,
                     ProblemSpec, StateSpace, StochLQR, TimeGrid,
-                    ValidationError, _non_finite, assemble_quadform,
-                    coeff_on, effective_cost, validate)
+                    ValidationError, _non_finite, _too_few_steps,
+                    assemble_quadform, coeff_on, effective_cost, validate)
 from .riccati import (DreSolution, DriSample, MatTrajectory, _dre_solution,
                       _RicFlow, _step_intervals, _sweep, draw_forcing,
                       forcing_amplitude, solve_dre_final, switch_bounds)
@@ -358,13 +358,14 @@ def dri_cloud(spec: ProblemSpec, n_samples: int = 100,
     bitwise, residual included, and sample i is bitwise the one sample of
     a one-sample cloud with seed seed+i. Forced samples get no residual
     sweep (the cloud's contract is the ordering, not integration accuracy).
-    Data with NaN or infinite entries is rejected (ValidationError) before
-    anything runs; the full `validate` is not applied, since the cloud also
-    samples problems outside the regulator hypotheses (an indefinite R).
+    Data with NaN or infinite entries, and a one-step grid, are rejected
+    (ValidationError) before anything runs; the full `validate` is not
+    applied, since the cloud also samples problems outside the regulator
+    hypotheses (an indefinite R).
     """
-    non_finite = _non_finite(spec)
-    if non_finite:
-        raise ValidationError(non_finite)
+    rejected = _non_finite(spec) or _too_few_steps(spec.grid)
+    if rejected:
+        raise ValidationError(rejected)
     _check_tol(tol)
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")

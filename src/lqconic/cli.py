@@ -5,11 +5,17 @@ Exit-code contract: 0 success, 1 bad input (I/O, parse, schema, validation,
 document mismatch), 2 the infimum is minus infinity, 3 not passive,
 4 verification failed. Every command is deterministic given (document,
 flags) except for the timing_seconds field of result documents.
+
+Result documents are written compact (sorted keys, no whitespace) and name
+their problem by problem_sha256, a hash of its values: the numbers as
+float64, not as spelled, so re-indenting the problem or writing 1 for 1.0
+keeps a result verifiable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -242,10 +248,38 @@ def parse_problem(doc, steps_override=None, T_override=None):
         {"seed": int(seed)}
 
 
+def _numeric_array(val):
+    """val as float64 if it is a number or a regular nested list of numbers."""
+    leaves = np.array(val, dtype=object)
+    if set(map(type, leaves.flat)) <= {int, float}:
+        try:
+            return leaves.astype("<f8")
+        except OverflowError:  # an integer beyond float64
+            pass
+
+
+def _value_bytes(val):
+    arr = _numeric_array(val)
+    if arr is not None:
+        yield f"a{arr.shape}:".encode() + arr.tobytes()
+    elif isinstance(val, (dict, list)):
+        # an object is its sorted keys, each followed by its value
+        yield b"{" if isinstance(val, dict) else b"["
+        for item in ([x for k in sorted(val) for x in (k, val[k])]
+                     if isinstance(val, dict) else val):
+            yield from _value_bytes(item)
+            yield b","
+        yield b"]"
+    else:
+        yield json.dumps(val).encode()
+
+
 def problem_sha256(doc) -> str:
-    """Hash of the canonical JSON serialization (sorted keys, no spaces)."""
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    """SHA-256 of the document's values, not of their spelling. Objects go
+    in by sorted key; a number or regular nested list of numbers as its
+    shape and little-endian float64 bytes (so 1 and 1.0 hash alike); other
+    values as JSON, each key, value and item followed by a delimiter."""
+    return hashlib.sha256(b"".join(_value_bytes(doc))).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +336,7 @@ def certificate_document(cert: Certificate, problem_hash: str,
 
 
 def _emit(doc: dict, out_path=None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -515,6 +549,7 @@ def _add_common(p, csv_dir=True):
                        help="also export trajectories as CSV into this directory")
 
 
+@functools.cache  # built once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lqconic",

@@ -305,6 +305,15 @@ def _non_finite(spec: ProblemSpec) -> list:
             if not np.isfinite(np.asarray(value, dtype=float)).all()]
 
 
+def _too_few_steps(grid: TimeGrid) -> list:
+    """The TooFewSteps violation of a one-step grid, which has too few nodes
+    for the finite differences of a certificate's residual."""
+    if grid.steps >= 2:
+        return []
+    return [Violation("grid.steps", "TooFewSteps",
+                      f"need at least 2 steps, got {grid.steps}")]
+
+
 def validate(spec: ProblemSpec) -> None:
     """Check dimensions and the variant-specific definiteness constraints.
 
@@ -316,11 +325,8 @@ def validate(spec: ProblemSpec) -> None:
     non_finite = _non_finite(spec)
     if non_finite:
         raise ValidationError(non_finite)
-    out = []
     sys, grid, var = spec.sys, spec.grid, spec.variant
-    if grid.steps < 2:
-        out.append(Violation("grid.steps", "TooFewSteps",
-                             f"need at least 2 steps, got {grid.steps}"))
+    out = _too_few_steps(grid)
     for name, coeff in (("system.A", sys.A), ("system.B", sys.B),
                         ("system.C", sys.C), ("system.D", sys.D)):
         _check_sampled_length(coeff, name, grid, out)

@@ -461,6 +461,17 @@ class TestDriCloud:
         assert [(v.field, v.code) for v in info.value.violations] == \
             [("cost.Q", "NonFinite")]
 
+    def test_one_step_grid_rejected(self):
+        # used to run and report a NaN extremal residual_max; two steps run
+        with pytest.raises(ValidationError) as info:
+            dri_cloud(scalar_preset(1, 1, steps=1), n_samples=2,
+                      switch_points=1)
+        assert [(v.field, v.code) for v in info.value.violations] == \
+            [("grid.steps", "TooFewSteps")]
+        report = dri_cloud(scalar_preset(1, 1, steps=2), n_samples=2,
+                           switch_points=1)
+        assert np.isfinite(report.dre.residual_max)
+
     def test_indefinite_presets_still_run(self):
         # the finite-data check is not the regulator validation: the
         # m = -1 presets carry R = -1 under an LQR variant

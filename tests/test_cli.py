@@ -101,9 +101,9 @@ def load_schema(name):
 # documents the problem schema rejects: keys it does not allow
 # (additionalProperties false) -- the retired escape cap, a misspelled
 # option, unknown keys elsewhere, and keys of one variant set on another --
-# and a horizon of zero steps (minimum 1); with the object the key goes
-# into (None for the root), the field path and text of the error and the
-# document the key goes into
+# and a horizon of zero steps (the schema's minimum is 2); with the object
+# the key goes into (None for the root), the field path and text of the
+# error and the document the key goes into
 BAD_DOCUMENTS = [
     ("options", "escape_cap", 1e9, "options.escape_cap", "unknown key",
      lqr_doc),
@@ -243,6 +243,60 @@ class TestProblemParsing:
         assert problem_sha256(doc) == problem_sha256(shuffled)
         doc2 = lqr_doc(x0=2.0)
         assert problem_sha256(doc) != problem_sha256(doc2)
+
+    def test_hash_reads_values_not_spelling(self, tmp_path, capsys):
+        # 1 and 1.0, indentation and key order at every level are spelling;
+        # a result made from one spelling verifies against another
+        doc = lqr_doc(steps=64)
+        spelled = lqr_doc(steps=64)
+        spelled["horizon"]["T"] = 1
+        spelled["variant"]["Q"] = [[1]]
+        spelled = {key: ({k: val[k] for k in reversed(list(val))}
+                         if isinstance(val, dict) else val)
+                   for key, val in reversed(list(spelled.items()))}
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(spelled, indent=4))
+        assert problem_sha256(spelled) == problem_sha256(doc)
+        assert problem_sha256(cli._load_json(str(indented))) == \
+            problem_sha256(doc)
+        res = tmp_path / "res.json"
+        assert main(["lqr", write_doc(tmp_path, doc), "--out", str(res)]) == 0
+        rc, out, _ = run(capsys, ["verify", str(indented), str(res)])
+        assert rc == 0 and out.rstrip().endswith("PASS")
+
+    def test_hash_sees_one_ulp_of_a_sampled_node(self):
+        doc = lqr_doc(steps=8)
+        doc["system"]["A"] = [[[-0.1 * k]] for k in range(9)]
+        bumped = copy.deepcopy(doc)
+        node = bumped["system"]["A"][5][0]
+        node[0] = float(np.nextafter(node[0], np.inf))
+        assert problem_sha256(bumped) != problem_sha256(doc)
+
+    @pytest.mark.parametrize("a, b", [
+        ({"x": [[1, 2]]}, {"x": [[1], [2]]}),
+        ({"x": [1.0, 2.0]}, {"y": [1.0, 2.0]}),
+        ({"Q": [[2.0]], "R": [[1.0]]}, {"Q": [[1.0]], "R": [[2.0]]}),
+        ([True], [1]),
+        ([1, True], [1, 1]),
+        (["1"], [1]),
+        ([None], [0]),
+        ({"x": []}, {"x": [[]]}),
+    ], ids=["reshape", "other-key", "swapped-keys", "true-1", "mixed-true",
+            "string", "null", "empty"])
+    def test_hash_tells_documents_apart(self, a, b):
+        assert problem_sha256(a) != problem_sha256(b)
+
+    def test_hash_is_pinned(self):
+        # a new digest here means every earlier result document fails
+        # verify with "hash mismatch": change the hash only on purpose
+        doc = {"schema_version": "1",
+               "system": {"A": [[0.0, 1.0], [-1, 0]], "B": [[0], [1]]},
+               "horizon": {"T": 1.5, "steps": 8},
+               "variant": {"type": "lqr", "Q": [[1, 0], [0, 1]],
+                           "R": [[0.5]], "x_i": [1, 0]},
+               "options": {"seed": 3}}
+        assert problem_sha256(doc) == \
+            "8f73451a5f89091081548d5080c5d828455f4e610b97a842169fc27bc4407405"
 
 
 class TestExitCodes:
@@ -422,6 +476,24 @@ class TestResultDocuments:
         assert out == ""
         res = json.loads(out_path.read_text())
         assert res["kind"] == "certificate"
+
+    def test_documents_are_written_compact(self, tmp_path):
+        # certificate, norm result and cloud summary: sorted keys, no
+        # whitespace and one closing newline
+        runs = [
+            ["lqr", write_doc(tmp_path, lqr_doc(), "p1.json")],
+            ["iqc", write_doc(tmp_path, iqc_doc(), "p2.json")],
+            ["hinf", write_doc(tmp_path, br_doc(), "p3.json"),
+             "--tol", "1e-2"],
+            ["dri-cloud", write_doc(tmp_path, lqr_doc(128), "p4.json"),
+             "--samples", "2", "--csv-dir", str(tmp_path / "cloud")],
+        ]
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"res{i}.json"
+            main(argv + ["--out", str(out)])
+            text = out.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      separators=(",", ":")) + "\n"
 
     def test_steps_flag_overrides_document(self, tmp_path, capsys):
         rc, out, _ = run(capsys, ["lqr", write_doc(tmp_path, lqr_doc(steps=64)),
@@ -863,6 +935,13 @@ class TestSchemaConformance:
         for where, key, value, _, _, base in BAD_DOCUMENTS:
             assert not validator.is_valid(bad_document(where, key, value,
                                                        base))
+
+    def test_problem_schema_rejects_one_step(self):
+        # the schema's minimum is validate's TooFewSteps bound
+        validator = jsonschema.Draft202012Validator(
+            load_schema("problem.schema.json"))
+        assert not validator.is_valid(lqr_doc(steps=1))
+        validator.validate(lqr_doc(steps=2))
 
     def test_emitted_results_validate(self, tmp_path, capsys):
         schema = load_schema("result.schema.json")
